@@ -9,10 +9,14 @@ Three knobs of the proposed analysis are compared on the Cruise study:
 * transition-mode bcet — keeping nominal bcets (sound refinement) vs the
   literal ``[0, wcet]`` of Algorithm 1's line 23;
 * the Naive baseline — no chronological state reasoning at all.
+
+The bus ablation swaps the reserved-bandwidth fabric for the
+``message-jobs`` comm backend (transfers arbitrated as bus jobs).
 """
 
 import pytest
 
+from repro.comm import make_comm
 from repro.core import MixedCriticalityAnalysis, NaiveAnalysis
 from repro.experiments.table2 import TABLE2_DROPPED
 from repro.obs.bench import bench_timer, write_bench_report
@@ -113,7 +117,9 @@ class TestBusAblation:
         reserved = MixedCriticalityAnalysis().analyze(
             hardened, arch, mapping, TABLE2_DROPPED
         )
-        contended = MixedCriticalityAnalysis(bus_contention=True).analyze(
+        contended = MixedCriticalityAnalysis(
+            comm=make_comm("message-jobs")
+        ).analyze(
             hardened, arch, mapping, TABLE2_DROPPED
         )
         print(
@@ -123,12 +129,12 @@ class TestBusAblation:
         for app in ("cc", "mon"):
             assert contended.wcrt_of(app) >= reserved.wcrt_of(app) - 1e-6
 
-    def test_benchmark_bus_contention_analysis(self, benchmark, study):
+    def test_benchmark_message_jobs_analysis(self, benchmark, study):
         hardened, arch, mapping = study
-        analysis = MixedCriticalityAnalysis(bus_contention=True)
+        analysis = MixedCriticalityAnalysis(comm=make_comm("message-jobs"))
 
         def run():
-            with bench_timer("ablation.bus_contention").time():
+            with bench_timer("ablation.message_jobs").time():
                 return analysis.analyze(hardened, arch, mapping, TABLE2_DROPPED)
 
         benchmark.pedantic(run, rounds=3, iterations=1)

@@ -6,11 +6,12 @@ Three contracts, all load-bearing for the comm backends:
    default comm model, an explicit ``flat`` backend, and a hand-built
    legacy :class:`CommModel` produces byte-identical result digests.
    The ``flat`` backend *is* the legacy fabric; any drift is a bug.
-2. **Seeded verify campaign** — a full verification campaign on the
-   comm-dominated synthetic family (shared-bus fabric, ARQ budget,
-   round-robin scatter mapping) reports zero violations of the extended
-   lattice (``sim <= Proposed``, ``flat <= contended``, ARQ
-   ``k``-monotonicity) and actually exercises message-loss scenarios.
+2. **Seeded verify campaigns** — full verification campaigns on the
+   comm-dominated synthetic family (round-robin scatter mapping, ARQ
+   budget), once over a ``shared-bus`` fabric and once with
+   ``message-jobs`` bus arbitration, report zero violations of the
+   extended lattice (``sim <= Proposed``, ``flat <= contended``, ARQ
+   ``k``-monotonicity) and actually exercise message-loss scenarios.
 3. **Backend-selection UX** — an unknown ``--comm-backend`` name fails
    with an error listing every registered backend, matching the
    ``--method`` behaviour.
@@ -78,8 +79,8 @@ def flat_identity_sweep() -> None:
         )
 
 
-def comm_dominated_campaign() -> None:
-    problem = comm_dominated_problem()
+def comm_dominated_campaign(comm_backend: str) -> None:
+    problem = comm_dominated_problem(comm_backend=comm_backend, arq_retries=2)
     bundle = SystemBundle(
         applications=problem.applications,
         architecture=problem.architecture,
@@ -87,20 +88,22 @@ def comm_dominated_campaign() -> None:
         plan=None,
     )
     state = scatter_state(state_from_bundle(bundle, seed=7))
-    report = run_campaign(
-        state, CampaignConfig(budget=120, seed=7), label="comm-dominated"
-    )
-    check(report.ok, "comm-dominated campaign reports zero violations")
+    label = f"comm-dominated/{comm_backend}"
+    report = run_campaign(state, CampaignConfig(budget=120, seed=7), label=label)
+    check(report.ok, f"{label} campaign reports zero violations")
     for oracle in ("flat-le-contended", "arq-monotone"):
         entry = report.oracles.get(oracle, {})
         check(
             entry.get("checks", 0) >= 1 and entry.get("violations", 1) == 0,
-            f"extended lattice oracle {oracle} ran clean",
+            f"{label}: extended lattice oracle {oracle} ran clean",
         )
     message_runs = sum(
         1 for s in report.scenarios if s["origin"] == "directed-message"
     )
-    check(message_runs > 0, f"{message_runs} message-loss scenarios simulated")
+    check(
+        message_runs > 0,
+        f"{label}: {message_runs} message-loss scenarios simulated",
+    )
 
 
 def backend_error_ux() -> None:
@@ -133,7 +136,8 @@ def backend_error_ux() -> None:
 
 def main() -> None:
     flat_identity_sweep()
-    comm_dominated_campaign()
+    comm_dominated_campaign("shared-bus")
+    comm_dominated_campaign("message-jobs")
     backend_error_ux()
     print("comm smoke: all checks passed")
 

@@ -58,6 +58,9 @@ SystemLike = Union[str, Path, SystemBundle]
 #: comma-separated string (the CLI's ``--dropped`` syntax).
 DroppedLike = Union[str, Iterable[str]]
 
+#: The comm backend the legacy ``bus_contention=True`` flag selects.
+_MESSAGE_JOBS = "message-jobs"
+
 
 def load(source: SystemLike) -> SystemBundle:
     """A system bundle from a JSON file, a suite name, or pass-through.
@@ -133,6 +136,7 @@ def _apply_comm_overrides(
     comm_backend: Optional[str],
     comm_arq: Optional[int],
     comm_arq_timeout: Optional[float],
+    bus_contention: bool = False,
 ) -> SystemBundle:
     """Rewrite the bundle's fabric comm configuration (``--comm-*``).
 
@@ -140,7 +144,20 @@ def _apply_comm_overrides(
     object), so everything downstream — default comm resolution, job-set
     fingerprints, the verification oracles — sees one consistent
     configuration.  All-``None`` is the no-op fast path.
+
+    ``bus_contention=True``, the legacy spelling of
+    ``comm_backend="message-jobs"``, is mapped here only; combined with
+    any other backend it raises :class:`~repro.errors.ReproError`.
     """
+    if bus_contention:
+        if comm_backend is None:
+            declared = bundle.architecture.interconnect.comm_backend
+            comm_backend = _MESSAGE_JOBS if declared == "flat" else declared
+        if comm_backend != _MESSAGE_JOBS:
+            raise ReproError(
+                f"bus_contention=True means comm_backend={_MESSAGE_JOBS!r} "
+                f"and conflicts with comm backend {comm_backend!r}"
+            )
     if comm_backend is None and comm_arq is None and comm_arq_timeout is None:
         return bundle
     from repro.comm import with_comm
@@ -185,11 +202,18 @@ def analyze(
     ``--comm-backend``/``--comm-arq`` flags; names are validated against
     :data:`repro.comm.COMM_BACKENDS`).  ``comm`` still accepts a
     ready-made model/backend instance, which then wins outright.
+    ``bus_contention=True`` is the legacy spelling of
+    ``comm_backend="message-jobs"``.
     """
     with span("api.analyze", method=method, granularity=granularity):
+        if bus_contention and comm is not None:
+            raise ReproError(
+                "bus_contention=True conflicts with an explicit comm model; "
+                f"pass comm_backend={_MESSAGE_JOBS!r} instead"
+            )
         bundle = load(system)
         bundle = _apply_comm_overrides(
-            bundle, comm_backend, comm_arq, comm_arq_timeout
+            bundle, comm_backend, comm_arq, comm_arq_timeout, bus_contention
         )
         mapping = mapping if mapping is not None else bundle.mapping
         if mapping is None:
@@ -205,7 +229,6 @@ def analyze(
             granularity=granularity,
             comm=comm,
             policy=policy,
-            bus_contention=bus_contention,
             fast_path=fast_path,
         )
         return analysis.analyze(

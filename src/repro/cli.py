@@ -39,12 +39,11 @@ import json
 import sys
 from pathlib import Path
 
-from repro.api import validate_dropped
+from repro import api
 from repro.benchgen.tgff import generate_problem
-from repro.core import FastPathConfig, make_analysis
+from repro.core import FastPathConfig
 from repro.errors import ReproError
 from repro.hardening.spec import HardeningPlan
-from repro.hardening.transform import harden
 from repro.model.serialization import load_system, save_system
 from repro.obs import events as obs_events
 from repro.obs.events import (
@@ -59,28 +58,22 @@ from repro.obs.logging import configure as configure_logging
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics
 from repro.obs.trace import tracer
-from repro.sim import BiasedSampler, MonteCarloEstimator, Simulator
 from repro.suites import benchmark_names, get_benchmark
 
 _LOG = get_logger("cli")
 
 
-def _load_mapped_system(args):
+def _mapped_bundle(args):
+    """A mapped system file and its (``--plan``-overridable) hardening plan."""
     bundle = load_system(args.system)
     if bundle.mapping is None:
         raise ReproError(
             f"{args.system} carries no mapping; add one or use `repro explore`"
         )
+    plan = bundle.plan or HardeningPlan()
     if args.plan:
         plan = HardeningPlan.from_dict(json.loads(Path(args.plan).read_text()))
-    elif bundle.plan is not None:
-        plan = bundle.plan
-    else:
-        plan = HardeningPlan()
-    hardened = harden(bundle.applications, plan)
-    dropped = validate_dropped(bundle.applications, args.dropped or "")
-    architecture = _comm_overridden(bundle.architecture, args)
-    return hardened, architecture, bundle.mapping, dropped
+    return bundle, plan
 
 
 def _add_comm_flags(parser) -> None:
@@ -108,33 +101,24 @@ def _add_comm_flags(parser) -> None:
     )
 
 
-def _comm_overridden(architecture, args):
-    """Apply the ``--comm-backend``/``--comm-arq`` flags to the fabric."""
-    backend = getattr(args, "comm_backend", None)
-    arq = getattr(args, "comm_arq", None)
-    timeout = getattr(args, "comm_arq_timeout", None)
-    if backend is None and arq is None and timeout is None:
-        return architecture
-    from repro.comm import with_comm
-
-    return with_comm(
-        architecture, backend=backend, arq_retries=arq, arq_timeout=timeout
-    )
-
-
 def _cmd_analyze(args) -> int:
-    hardened, architecture, mapping, dropped = _load_mapped_system(args)
-    analysis = make_analysis(
+    bundle, plan = _mapped_bundle(args)
+    result = api.analyze(
+        bundle,
         method=args.method,
-        backend=None if args.backend == "window" else args.backend,
+        backend=args.backend,
         granularity=args.granularity,
+        dropped=args.dropped or "",
+        plan=plan,
         policy=args.policy,
         bus_contention=args.bus_contention,
         # Memoization + warm starts change no reported number (prune
         # stays off), so the fast path is on unless explicitly disabled.
         fast_path=None if args.no_fast_path else FastPathConfig(),
+        comm_backend=args.comm_backend,
+        comm_arq=args.comm_arq,
+        comm_arq_timeout=args.comm_arq_timeout,
     )
-    result = analysis.analyze(hardened, architecture, mapping, dropped)
     print(f"{'application':>16} | {'wcrt':>10} | {'deadline':>9} | status")
     print("-" * 52)
     for name, verdict in result.verdicts.items():
@@ -150,14 +134,20 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    hardened, architecture, mapping, dropped = _load_mapped_system(args)
-    simulator = Simulator(
-        hardened, architecture, mapping, dropped=dropped, policy=args.policy
+    bundle, plan = _mapped_bundle(args)
+    result = api.simulate(
+        bundle,
+        profiles=args.profiles,
+        seed=args.seed,
+        dropped=args.dropped or "",
+        plan=plan,
+        policy=args.policy,
+        max_faults=args.max_faults,
+        worst_bias=args.worst_bias,
+        comm_backend=args.comm_backend,
+        comm_arq=args.comm_arq,
+        comm_arq_timeout=args.comm_arq_timeout,
     )
-    estimator = MonteCarloEstimator(
-        simulator, sampler=BiasedSampler(args.worst_bias), max_faults=args.max_faults
-    )
-    result = estimator.estimate(profiles=args.profiles, seed=args.seed)
     print(
         f"{'application':>16} | {'max resp':>9} | {'p99':>9} | {'mean':>9}"
     )
@@ -244,7 +234,6 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from repro import api
     from repro.verify.campaign import replay_corpus
 
     if args.replay:
@@ -316,13 +305,8 @@ def _cmd_verify(args) -> int:
 def _cmd_margins(args) -> int:
     from repro.core.sensitivity import deadline_margins, wcet_scaling_margin
 
-    bundle = load_system(args.system)
-    if bundle.mapping is None:
-        raise ReproError(f"{args.system} carries no mapping")
-    plan = bundle.plan or HardeningPlan()
-    if args.plan:
-        plan = HardeningPlan.from_dict(json.loads(Path(args.plan).read_text()))
-    dropped = validate_dropped(bundle.applications, args.dropped or "")
+    bundle, plan = _mapped_bundle(args)
+    dropped = api.validate_dropped(bundle.applications, args.dropped or "")
 
     margins = deadline_margins(
         bundle.applications, plan, bundle.architecture, bundle.mapping, dropped
@@ -755,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--bus-contention", action="store_true",
-        help="model the shared bus as a priority-arbitrated resource",
+        help="legacy spelling of --comm-backend message-jobs",
     )
     analyze.add_argument(
         "--backend", choices=("window", "fast", "holistic"), default="window",

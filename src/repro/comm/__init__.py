@@ -14,6 +14,10 @@ a registry of interchangeable latency models:
     Static slot table; slot-alignment worst case, contention-free.
 ``noc-xy``
     2D-mesh wormhole NoC with XY routing; per-link contention sets.
+``message-jobs``
+    Flat per-attempt costs, but every sized cross-processor transfer
+    becomes a job on one virtual bus, arbitrated by its producer's
+    priority inside the ``sched()`` fixed point.
 
 All backends keep best-case latencies at the uncontended transfer time
 and only widen worst cases, so ``flat <= contended`` holds bound-wise —
@@ -25,7 +29,7 @@ via ``Interconnect.comm_backend`` or per run via ``--comm-backend``.
 from typing import Optional, Union
 
 from repro.comm.base import ArqPolicy, BoundComm, ChannelSite, CommBackend
-from repro.comm.flat import FlatBackend
+from repro.comm.flat import FlatBackend, MessageJobsBackend
 from repro.comm.noc import NocXYBackend
 from repro.comm.sharedbus import SharedBusBackend
 from repro.comm.tdma import TdmaBackend
@@ -44,7 +48,9 @@ def register_backend(backend_cls) -> None:
     _REGISTRY[name] = backend_cls
 
 
-for _cls in (FlatBackend, SharedBusBackend, TdmaBackend, NocXYBackend):
+for _cls in (
+    FlatBackend, SharedBusBackend, TdmaBackend, NocXYBackend, MessageJobsBackend
+):
     register_backend(_cls)
 
 #: Registered backend names, registration-ordered (``flat`` first).
@@ -179,6 +185,7 @@ __all__ = [
     "ChannelSite",
     "CommBackend",
     "FlatBackend",
+    "MessageJobsBackend",
     "NocXYBackend",
     "SharedBusBackend",
     "TdmaBackend",

@@ -36,7 +36,7 @@ with no ARQ binds to the plain :class:`~repro.sched.comm.CommModel`
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ModelError
 from repro.model.architecture import Architecture, Interconnect
@@ -152,6 +152,10 @@ class BoundComm:
     :meth:`describe` (the backend-specific fingerprint fragment).
     """
 
+    #: Whether :func:`repro.sched.jobs.unroll` turns sized cross-processor
+    #: channels into bus jobs (the ``message-jobs`` backend).
+    message_jobs = False
+
     def __init__(self, interconnect: Interconnect, arq: ArqPolicy):
         self._interconnect = interconnect
         self._arq = arq
@@ -201,7 +205,8 @@ class BoundComm:
         return best, self.attempt_worst(src, dst, size)
 
     def without_arq(self) -> "BoundComm":
-        """This model with the fault margin stripped (for the simulator)."""
+        """The per-attempt model the simulator replays: no ARQ margin
+        (injected losses are charged explicitly), no message jobs."""
         if not self._arq.active:
             return self
         import copy
@@ -306,7 +311,3 @@ def busy_period_worst(
     )
     return saturated
 
-
-#: Interference map: for every site key, the ``(cost, period)`` list of
-#: the sites that can delay it.  Shared by the bus and NoC backends.
-InterferenceTable = Dict[Tuple[str, str], float]

@@ -88,7 +88,6 @@ def make_analysis(
     comm_arq: Optional[int] = None,
     comm_arq_timeout: Optional[float] = None,
     policy: str = "fp",
-    bus_contention: bool = False,
     zero_dropped_bcet: bool = False,
     fast_path: Union[FastPathConfig, bool, None] = None,
 ) -> AnalysisMethod:
@@ -136,7 +135,6 @@ def make_analysis(
             comm=comm,
             zero_dropped_bcet=zero_dropped_bcet,
             policy=policy,
-            bus_contention=bus_contention,
             fast_path=fast_path,
         )
     if method == "naive":
@@ -144,7 +142,6 @@ def make_analysis(
             backend=backend,
             comm=comm,
             policy=policy,
-            bus_contention=bus_contention,
         )
     return AdhocAnalysis(comm=comm, policy=policy)
 

@@ -27,8 +27,8 @@ from repro.sched.priority import assign_priorities
 #: A job is identified by its task name and the instance index of its graph.
 JobId = Tuple[str, int]
 
-#: Name of the virtual processor hosting message jobs when the
-#: contention-aware bus model is enabled (see :func:`unroll`).
+#: Name of the virtual processor hosting the message jobs of the
+#: ``message-jobs`` comm backend (see :func:`unroll`).
 BUS_RESOURCE = "__bus__"
 
 
@@ -406,7 +406,6 @@ def unroll(
     bounds: Optional[TMapping[str, Tuple[float, float]]] = None,
     hyperperiods: int = 2,
     policy: str = "fp",
-    bus_contention: bool = False,
 ) -> JobSet:
     """Unroll an application set into a :class:`JobSet` over two hyperperiods.
 
@@ -425,7 +424,12 @@ def unroll(
         bound here against the hardened application set, so replica and
         voter channels participate in its contention analysis; bound
         models answering ``channel_bounds`` are queried per channel and
-        their ``fingerprint_token`` enters the job-set fingerprint.
+        their ``fingerprint_token`` enters the job-set fingerprint.  A
+        true ``message_jobs`` attribute (the ``message-jobs`` backend)
+        turns every sized cross-processor transfer into a *message job*
+        on :data:`BUS_RESOURCE`, ranked right after its producer and
+        spanning the channel's ``(best, worst)`` bounds, so transfers
+        interfere instead of enjoying reserved bandwidth.
     priorities:
         Task priorities (smaller = higher); defaults to
         :func:`repro.sched.priority.assign_priorities`.
@@ -443,14 +447,6 @@ def unroll(
         first).  Jobs execute exactly once, so a static per-job rank by
         absolute deadline *is* preemptive EDF — both the analysis and the
         simulator follow the resulting job priorities.
-    bus_contention:
-        When ``True``, every sized cross-processor transfer becomes a
-        *message job* on a virtual bus resource named
-        :data:`BUS_RESOURCE`, arbitrated by the priority of its producer:
-        concurrent transfers then interfere with each other instead of
-        enjoying reserved bandwidth.  Analysis-only — the simulator keeps
-        the reservation (latency) model, which the contention-aware
-        bounds safely dominate.
     """
     if policy not in ("fp", "edf"):
         raise AnalysisError(f"policy must be 'fp' or 'edf', got {policy!r}")
@@ -461,6 +457,7 @@ def unroll(
         comm = comm.bind(applications, mapping, architecture)
     channel_bounds = getattr(comm, "channel_bounds", None)
     comm_token = getattr(comm, "fingerprint_token", "")
+    message_jobs = getattr(comm, "message_jobs", False)
     if priorities is None:
         priorities = assign_priorities(applications)
     if hyperperiods < 1:
@@ -502,7 +499,7 @@ def unroll(
 
     def needs_message(channel, dst_name: str) -> bool:
         return (
-            bus_contention
+            message_jobs
             and channel.size > 0
             and mapping[channel.src] != mapping[dst_name]
         )
@@ -528,7 +525,7 @@ def unroll(
     combined_keys.sort()
     if len({key[3] for key in combined_keys}) != len(combined_keys):
         raise AnalysisError(
-            "job identifier collision — with bus_contention enabled, task "
+            "job identifier collision — with message jobs enabled, task "
             "names must not collide with generated message names "
             "('src>dst')"
         )
@@ -551,8 +548,8 @@ def unroll(
                     pred_id = (channel.src, instance)
                     if needs_message(channel, task_name):
                         # Materialise the transfer as a bus job.
-                        transfer = architecture.interconnect.transfer_time(
-                            channel.size
+                        best, worst = channel_bounds(
+                            channel.src, task_name, channel.size, False
                         )
                         message = _message_name(channel.src, task_name)
                         message_job = Job(
@@ -564,8 +561,8 @@ def unroll(
                             abs_deadline=release + graph.deadline,
                             processor=BUS_RESOURCE,
                             priority=job_priority[(message, instance)],
-                            bcet=transfer,
-                            wcet=transfer,
+                            bcet=best,
+                            wcet=worst,
                             preds=((index_of[pred_id], 0.0, 0.0, False),),
                             analyzed=analyzed,
                             droppable=graph.droppable,

@@ -187,17 +187,12 @@ def _run_analyze(params: Dict[str, Any]) -> bytes:
     """
     from repro.api import analyze
     from repro.core.fastpath import FastPathConfig
-    from repro.serve.encoding import bundle_from_payload
+    from repro.serve.encoding import analyze_options, bundle_from_payload
 
     bundle = bundle_from_payload(params["system"])
     result = analyze(
         bundle,
-        method=params["method"],
-        backend=params["backend"],
-        granularity=params["granularity"],
-        dropped=tuple(params["dropped"]),
-        policy=params["policy"],
-        bus_contention=params["bus_contention"],
+        **analyze_options(params),
         fast_path=(
             FastPathConfig.shared() if params["method"] == "proposed" else None
         ),
@@ -216,19 +211,12 @@ def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
     never be replayed to a client that was promised full service.
     """
     from repro.api import analyze
-    from repro.serve.encoding import bundle_from_payload
+    from repro.serve.encoding import analyze_options, bundle_from_payload
 
     bundle = bundle_from_payload(params["system"])
-    result = analyze(
-        bundle,
-        method="proposed",
-        backend="fast",
-        granularity=params["granularity"],
-        dropped=tuple(params["dropped"]),
-        policy=params["policy"],
-        bus_contention=params["bus_contention"],
-        fast_path=None,
-    )
+    options = analyze_options(params)
+    options.update(method="proposed", backend="fast")
+    result = analyze(bundle, **options, fast_path=None)
     payload = analysis_result_to_dict(result)
     payload["degraded"] = True
     return canonical_bytes(payload)

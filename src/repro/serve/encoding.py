@@ -248,6 +248,13 @@ def _float_field(payload, name, default):
     return float(value)
 
 
+def _bool_field(payload, name, default):
+    value = payload.get(name, default)
+    if not isinstance(value, bool):
+        raise ReproError(f"{name} must be a JSON boolean (true or false)")
+    return value
+
+
 def _choice_field(payload, name, default, choices):
     value = payload.get(name, default)
     if value is not None and value not in choices:
@@ -300,8 +307,17 @@ def parse_analyze_request(
         ),
         "dropped": list(_dropped_field(payload)),
         "policy": _choice_field(payload, "policy", "fp", ("fp", "edf")),
-        "bus_contention": bool(payload.get("bus_contention", False)),
+        "bus_contention": _bool_field(payload, "bus_contention", False),
         "deadline_seconds": _deadline_field(payload),
+    }
+
+
+def analyze_options(params: Dict[str, Any]) -> Dict[str, Any]:
+    """:func:`repro.api.analyze` keywords of parsed ``/v1/analyze`` params."""
+    return {
+        name: value
+        for name, value in params.items()
+        if name not in ("system", "deadline_seconds")
     }
 
 

@@ -563,6 +563,9 @@ class JobStore:
                 self._release_claim(job.id)
                 continue
             with self._lock:
+                # A poll during the claim may have swapped in a fresh
+                # disk copy; mutate the record get() serves, not ours.
+                job = self._jobs.get(job.id, job)
                 if job.status != "pending":
                     self._release_claim(job.id)
                     continue

@@ -98,6 +98,7 @@ class Simulator:
         # The analysis folds the full ARQ margin into channel bounds; the
         # engine instead unrolls single-attempt bounds and pays each
         # injected loss explicitly, so fault-free runs see no margin.
+        # The view keeps reserved latencies: no message jobs.
         self._arq_retries = getattr(comm, "arq_retries", 0)
         self._arq_timeout = getattr(comm, "arq_timeout", 0.0)
         self._comm = comm.without_arq() if hasattr(comm, "without_arq") else comm

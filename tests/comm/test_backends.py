@@ -1,4 +1,4 @@
-"""Bound semantics of the four communication backends."""
+"""Bound semantics of the communication backends."""
 
 import pytest
 
@@ -179,7 +179,9 @@ class TestNocXY:
 
 
 class TestLattice:
-    @pytest.mark.parametrize("name", ("shared-bus", "tdma", "noc-xy"))
+    @pytest.mark.parametrize(
+        "name", ("shared-bus", "tdma", "noc-xy", "message-jobs")
+    )
     def test_contended_dominates_flat(self, name):
         # The bound tables are computed for the channel's declared
         # payload (200 B), so domination is asserted at that size.
@@ -190,7 +192,9 @@ class TestLattice:
         assert best == pytest.approx(flat.best_case(size, False))
         assert worst >= flat.worst_case(size, False) - 1e-9
 
-    @pytest.mark.parametrize("name", ("flat", "shared-bus", "tdma", "noc-xy"))
+    @pytest.mark.parametrize(
+        "name", ("flat", "shared-bus", "tdma", "noc-xy", "message-jobs")
+    )
     def test_arq_fold_is_monotone(self, name):
         previous = None
         for retries in range(1, 4):
@@ -200,7 +204,9 @@ class TestLattice:
                 assert worst >= previous - 1e-9
             previous = worst
 
-    @pytest.mark.parametrize("name", ("shared-bus", "tdma", "noc-xy"))
+    @pytest.mark.parametrize(
+        "name", ("shared-bus", "tdma", "noc-xy", "message-jobs")
+    )
     def test_fingerprint_tokens_differ(self, name):
         flat = _bind("flat", arq_retries=1)
         contended = _bind(name, arq_retries=1)

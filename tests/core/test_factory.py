@@ -68,21 +68,21 @@ class TestMakeAnalysis:
 
 
 class TestDeprecationShims:
-    def test_naive_warns_on_foreign_kwargs(self):
-        with pytest.warns(DeprecationWarning, match="make_analysis"):
+    """The foreign-kwarg shims are gone: ``make_analysis`` routes options."""
+
+    def test_naive_rejects_foreign_kwargs(self):
+        with pytest.raises(TypeError):
             NaiveAnalysis(granularity="task")
 
-    def test_adhoc_warns_on_foreign_kwargs(self):
-        with pytest.warns(DeprecationWarning, match="make_analysis"):
-            AdhocAnalysis(backend=WindowAnalysisBackend(), bus_contention=True)
+    def test_adhoc_rejects_foreign_kwargs(self):
+        with pytest.raises(TypeError):
+            AdhocAnalysis(backend=WindowAnalysisBackend())
 
-    def test_shims_change_no_behavior(self, hardened, architecture, mapping):
-        import warnings
-
+    def test_factory_ignores_foreign_options(
+        self, hardened, architecture, mapping
+    ):
         clean = NaiveAnalysis().analyze(hardened, architecture, mapping)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = NaiveAnalysis(granularity="job", fast_path=None).analyze(
-                hardened, architecture, mapping
-            )
-        assert clean == shimmed
+        routed = make_analysis(
+            "naive", granularity="job", fast_path=True
+        ).analyze(hardened, architecture, mapping)
+        assert clean == routed

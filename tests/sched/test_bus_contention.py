@@ -1,17 +1,25 @@
-"""Tests for the contention-aware shared-bus model."""
+"""Tests for the ``message-jobs`` comm backend (bus arbitration as jobs).
+
+``bus_contention=True`` is the legacy :mod:`repro.api` spelling of the
+same backend.
+"""
 
 import pytest
 
+from repro import api
+from repro.comm import make_comm, with_comm
 from repro.core.analysis import MixedCriticalityAnalysis
-from repro.hardening.spec import HardeningPlan
-from repro.hardening.transform import harden
 from repro.model.application import ApplicationSet
 from repro.model.architecture import Architecture, Interconnect, Processor
 from repro.model.mapping import Mapping
+from repro.model.serialization import SystemBundle
 from repro.model.task import Channel, Task
 from repro.model.taskgraph import TaskGraph
 from repro.sched.jobs import BUS_RESOURCE, unroll
 from repro.sched.wcrt import WindowAnalysisBackend
+
+
+MESSAGE_JOBS = make_comm("message-jobs")
 
 
 def platform(bandwidth=10.0, base_latency=0.0):
@@ -47,7 +55,7 @@ def crossing_mapping():
 class TestMessageJobs:
     def test_message_jobs_created(self):
         jobset = unroll(
-            crossing_apps(), crossing_mapping(), platform(), bus_contention=True
+            crossing_apps(), crossing_mapping(), platform(), comm=MESSAGE_JOBS
         )
         bus_jobs = [j for j in jobset.jobs if j.processor == BUS_RESOURCE]
         # 2 graphs x (2 + 4) instances over two hyperperiods.
@@ -57,14 +65,14 @@ class TestMessageJobs:
 
     def test_message_duration_is_transfer_time(self):
         jobset = unroll(
-            crossing_apps(), crossing_mapping(), platform(), bus_contention=True
+            crossing_apps(), crossing_mapping(), platform(), comm=MESSAGE_JOBS
         )
         message = jobset.job(("p1>c1", 0))
         assert message.bcet == message.wcet == pytest.approx(4.0)
 
     def test_no_message_for_colocated_channel(self):
         mapping = Mapping({"p1": "pe0", "c1": "pe0", "p2": "pe1", "c2": "pe2"})
-        jobset = unroll(crossing_apps(), mapping, platform(), bus_contention=True)
+        jobset = unroll(crossing_apps(), mapping, platform(), comm=MESSAGE_JOBS)
         names = {j.task_name for j in jobset.jobs}
         assert "p1>c1" not in names
         assert "p2>c2" in names
@@ -75,7 +83,7 @@ class TestMessageJobs:
 
     def test_message_inherits_producer_urgency(self):
         jobset = unroll(
-            crossing_apps(), crossing_mapping(), platform(), bus_contention=True
+            crossing_apps(), crossing_mapping(), platform(), comm=MESSAGE_JOBS
         )
         # g2 has the shorter period: its producer and message outrank g1's.
         assert (
@@ -101,7 +109,7 @@ class TestNameCollisionGuard:
         apps = ApplicationSet([graph])
         mapping = Mapping({"p": "pe0", "c": "pe1", "p>c": "pe2"})
         with pytest.raises(AnalysisError, match="collision"):
-            unroll(apps, mapping, platform(), bus_contention=True)
+            unroll(apps, mapping, platform(), comm=MESSAGE_JOBS)
 
     def test_same_names_fine_without_contention(self):
         graph = TaskGraph(
@@ -125,7 +133,7 @@ class TestContentionBounds:
         backend = WindowAnalysisBackend()
         reserved = backend.analyze(unroll(apps, mapping, arch))
         contended = backend.analyze(
-            unroll(apps, mapping, arch, bus_contention=True)
+            unroll(apps, mapping, arch, comm=MESSAGE_JOBS)
         )
         for graph in ("g1", "g2"):
             assert contended.graph_wcrt(graph) >= reserved.graph_wcrt(graph) - 1e-9
@@ -133,7 +141,7 @@ class TestContentionBounds:
     def test_low_priority_transfer_suffers_interference(self):
         apps = crossing_apps()
         bounds = WindowAnalysisBackend().analyze(
-            unroll(apps, crossing_mapping(), platform(), bus_contention=True)
+            unroll(apps, crossing_mapping(), platform(), comm=MESSAGE_JOBS)
         )
         # g1's transfer (low priority) can wait for both g2 transfers in
         # the hyperperiod window: worst finish >= own path + interference.
@@ -155,7 +163,7 @@ class TestContentionBounds:
         backend = WindowAnalysisBackend()
         reserved = backend.analyze(unroll(apps, mapping, arch))
         contended = backend.analyze(
-            unroll(apps, mapping, arch, bus_contention=True)
+            unroll(apps, mapping, arch, comm=MESSAGE_JOBS)
         )
         assert contended.graph_wcrt("solo") == pytest.approx(
             reserved.graph_wcrt("solo")
@@ -163,12 +171,21 @@ class TestContentionBounds:
 
 
 class TestThroughAlgorithmOne:
-    def test_analysis_accepts_bus_contention(self, hardened, architecture, mapping):
+    def test_analysis_accepts_bus_contention(
+        self, apps, plan, hardened, architecture, mapping
+    ):
         plain = MixedCriticalityAnalysis().analyze(
             hardened, architecture, mapping, dropped=("lo",)
         )
-        contended = MixedCriticalityAnalysis(bus_contention=True).analyze(
-            hardened, architecture, mapping, dropped=("lo",)
+        contended = MixedCriticalityAnalysis().analyze(
+            hardened,
+            with_comm(architecture, backend="message-jobs"),
+            mapping,
+            dropped=("lo",),
         )
         for graph in hardened.applications.graph_names:
             assert contended.wcrt_of(graph) >= plain.wcrt_of(graph) - 1e-9
+        # The legacy api flag is the same backend under another name.
+        bundle = SystemBundle(apps, architecture, mapping, plan)
+        legacy = api.analyze(bundle, dropped=("lo",), bus_contention=True)
+        assert legacy == contended

@@ -143,6 +143,21 @@ class TestParseAnalyze:
                 {"system": bundle_to_payload(bundle), "method": "bogus"}
             )
 
+    @pytest.mark.parametrize("value", ("false", "no", "true", 0, 1, None))
+    def test_bus_contention_must_be_a_json_boolean(self, bundle, value):
+        # bool("false") is True: strings must never switch contention on.
+        with pytest.raises(ReproError, match="JSON boolean"):
+            parse_analyze_request(
+                {"system": bundle_to_payload(bundle), "bus_contention": value}
+            )
+
+    @pytest.mark.parametrize("value", (True, False))
+    def test_bus_contention_booleans_pass_through(self, bundle, value):
+        params = parse_analyze_request(
+            {"system": bundle_to_payload(bundle), "bus_contention": value}
+        )
+        assert params["bus_contention"] is value
+
     def test_system_required(self):
         with pytest.raises(ReproError, match="system"):
             parse_analyze_request({"method": "proposed"})

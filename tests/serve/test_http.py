@@ -238,6 +238,22 @@ class TestErrorContract:
             urllib.request.urlopen(request, timeout=30.0)
         assert info.value.code == 400
 
+    @pytest.mark.parametrize("value", ("false", "no", 0, None))
+    def test_non_boolean_bus_contention_400(self, client, bundle, value):
+        with pytest.raises(ServeError) as info:
+            client.analyze(bundle, bus_contention=value)
+        assert info.value.status == 400
+        assert "JSON boolean" in str(info.value)
+
+    def test_bus_contention_selects_message_jobs(self, client, bundle):
+        raw = client.analyze_raw(bundle, bus_contention=True)
+        direct = canonical_bytes(
+            analysis_result_to_dict(
+                analyze(bundle, comm_backend="message-jobs")
+            )
+        )
+        assert raw == direct
+
     def test_unknown_field_400(self, client, bundle):
         with pytest.raises(ServeError) as info:
             client.analyze(bundle, verbosity=3)

@@ -65,6 +65,24 @@ class TestLifecycle:
         assert generation is not None and generation >= 2
 
 
+class TestClaimRace:
+    def test_poll_during_claim_is_not_a_lost_update(
+        self, store, bundle, monkeypatch
+    ):
+        claim = store._try_claim
+
+        def poll_then_claim(job_id):
+            # A poller re-reads the pending record from disk between the
+            # runner's pop and its claim.
+            store.get(job_id)
+            return claim(job_id)
+
+        monkeypatch.setattr(store, "_try_claim", poll_then_claim)
+        job = store.create(_explore_params(bundle, generations=1, population=4))
+        assert store.wait_idle(timeout=30.0)
+        assert store.get(job.id).status == "done"
+
+
 class TestCancellation:
     def test_pending_job_cancels_immediately(self, store, bundle):
         # Occupy the single runner, then cancel the queued job.

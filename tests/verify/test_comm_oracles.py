@@ -33,7 +33,9 @@ class TestCheckComm:
     def test_noop_on_flat_fabric(self, cross_state):
         assert OracleRunner().check_comm(cross_state) == []
 
-    @pytest.mark.parametrize("backend", ("shared-bus", "tdma", "noc-xy"))
+    @pytest.mark.parametrize(
+        "backend", ("shared-bus", "tdma", "noc-xy", "message-jobs")
+    )
     def test_clean_on_sound_backends(self, cross_state, backend):
         state = dataclasses.replace(
             cross_state,
