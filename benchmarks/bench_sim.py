@@ -3,16 +3,23 @@
 Run:  pytest benchmarks/bench_sim.py --benchmark-only -s
 
 The Monte-Carlo estimator (WC-Sim) dominates the cost of the Table 2
-study, so the per-run simulation cost matters: these benchmarks track a
-single fault-free run, a run with faults and dropping, and the adhoc
-worst trace on the Cruise benchmark.
+study.  A campaign unrolls the job set once and then pays only the
+per-run cost for each profile, so both are tracked on the Cruise
+benchmark: a single fault-free run, a run with faults and dropping and
+the adhoc worst trace (each of which compiles its own job set), and a
+100-profile campaign sharing one compiled plan.
 """
 
 import pytest
 
 from repro.experiments.table2 import TABLE2_DROPPED
 from repro.obs.bench import bench_timer, write_bench_report
-from repro.sim import Simulator, WorstCaseSampler
+from repro.sim import (
+    BiasedSampler,
+    MonteCarloEstimator,
+    Simulator,
+    WorstCaseSampler,
+)
 from repro.sim.faults import adhoc_profile, random_profile
 from repro.suites.cruise import cruise_benchmark, cruise_sample_mappings
 
@@ -70,3 +77,18 @@ def test_benchmark_adhoc_trace(benchmark, setup):
 
     result = benchmark(run)
     assert result.entered_critical_state
+
+
+def test_benchmark_campaign(benchmark, setup):
+    _hardened, simulator = setup
+    estimator = MonteCarloEstimator(
+        simulator, sampler=BiasedSampler(0.5), max_faults=3
+    )
+
+    def run():
+        with bench_timer("sim.campaign").time():
+            return estimator.estimate(profiles=100, seed=3)
+
+    result = benchmark(run)
+    assert result.profiles == 101
+    assert result.critical_runs > 0

@@ -6,7 +6,7 @@ design-space exploration; it enforces globally unique task names so that a
 mapping can be expressed as a flat ``task name -> processor`` dictionary.
 """
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro._timing import hyperperiod
 from repro.errors import ModelError
@@ -35,6 +35,7 @@ class ApplicationSet:
         if not self._graphs:
             raise ModelError("application set must contain at least one graph")
         self._order: Tuple[str, ...] = tuple(self._graphs)
+        self._hyperperiod: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Access
@@ -141,8 +142,10 @@ class ApplicationSet:
 
     @property
     def hyperperiod(self) -> float:
-        """Least common multiple of all graph periods."""
-        return hyperperiod(g.period for g in self.graphs)
+        """Least common multiple of all graph periods (computed once)."""
+        if self._hyperperiod is None:
+            self._hyperperiod = hyperperiod(g.period for g in self.graphs)
+        return self._hyperperiod
 
     def total_utilization(self) -> float:
         """Sum of per-graph WCET utilizations."""

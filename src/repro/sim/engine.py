@@ -24,7 +24,9 @@ Semantics of the hardening constructs (mirroring the analysis model):
 
 import heapq
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Mapping as TMapping
 
 from repro.comm import default_comm
 from repro.errors import SimulationError
@@ -35,7 +37,7 @@ from repro.obs import events as obs_events
 from repro.obs.events import DeadlineMissed, FaultInjected
 from repro.obs.metrics import metrics
 from repro.sched.comm import CommModel
-from repro.sched.jobs import JobSet, unroll
+from repro.sched.jobs import Job, JobSet, unroll
 from repro.sched.priority import assign_priorities
 from repro.sim.faults import FaultProfile, no_fault_profile
 from repro.sim.sampler import ExecutionSampler, WorstCaseSampler
@@ -143,16 +145,35 @@ class Simulator:
         rng: Optional[random.Random] = None,
         hyperperiods: int = 1,
         drop_from_start: bool = False,
+        compiled: Optional["_Compiled"] = None,
     ) -> SimulationResult:
         """Simulate ``hyperperiods`` hyperperiods under a failure profile.
 
         ``drop_from_start`` forces the critical state from the beginning
-        of every hyperperiod (the ``Adhoc`` trace of §5.1).
+        of every hyperperiod (the ``Adhoc`` trace of §5.1).  ``compiled``
+        is a plan from :meth:`compile` over the same horizon; campaigns
+        pass one plan to every run instead of unrolling per profile.
         """
         profile = profile or no_fault_profile()
         sampler = sampler or WorstCaseSampler()
         rng = rng or random.Random(0)
+        if compiled is None:
+            compiled = self.compile(hyperperiods)
+        elif compiled.simulator is not self:
+            raise SimulationError("compiled plan belongs to another Simulator")
+        elif compiled.hyperperiods != hyperperiods:
+            raise SimulationError(
+                f"compiled plan covers {compiled.hyperperiods} hyperperiod(s), "
+                f"run asked for {hyperperiods}"
+            )
+        state = _RunState(self, compiled, profile, sampler, rng)
+        if drop_from_start:
+            state.force_drop_every_hyperperiod()
+        state.run()
+        return state.result()
 
+    def compile(self, hyperperiods: int = 1) -> "_Compiled":
+        """Unroll the job set and build the profile-independent tables."""
         jobset = unroll(
             self._hardened.applications,
             self._mapping,
@@ -163,11 +184,74 @@ class Simulator:
             hyperperiods=hyperperiods,
             policy=self._policy,
         )
-        state = _RunState(self, jobset, profile, sampler, rng)
-        if drop_from_start:
-            state.force_drop_every_hyperperiod()
-        state.run()
-        return state.result()
+        return _Compiled(self, jobset, hyperperiods)
+
+
+class _Compiled:
+    """Everything about a run that no fault profile can change.
+
+    Built once per simulated horizon by :meth:`Simulator.compile` and
+    shared, read-only, by every run of a campaign.
+    """
+
+    def __init__(self, simulator: Simulator, jobset: JobSet, hyperperiods: int):
+        self.simulator = simulator
+        self.jobset = jobset
+        self.hyperperiods = hyperperiods
+        jobs = jobset.jobs
+        # Gating counts and the on-time (non-demand) predecessors.
+        self.required_all = tuple(len(job.preds) for job in jobs)
+        self.non_demand: Tuple[FrozenSet[int], ...] = tuple(
+            frozenset(p[0] for p in job.preds if not p[3]) for job in jobs
+        )
+        self.required_now = tuple(
+            sum(1 for p in job.preds if not p[3]) for job in jobs
+        )
+        # Successor adjacency; cross-PE edges are the ones an injected
+        # message fault can hit.
+        succs: List[List[Tuple[int, float, bool]]] = [[] for _ in jobs]
+        for job in jobs:
+            for pred_index, _best, worst, _on_demand in job.preds:
+                cross_pe = jobs[pred_index].processor != job.processor
+                succs[pred_index].append((job.index, worst, cross_pe))
+        self.succs = tuple(tuple(edges) for edges in succs)
+        self.index_of: TMapping[Tuple[str, int], int] = MappingProxyType(
+            {job.job_id: job.index for job in jobs}
+        )
+        # The opening event queue: every release, then every hyperperiod
+        # boundary, numbered in that order.  Sequence numbers are unique,
+        # so a copy of this heap pops exactly as pushing one by one would.
+        hyperperiod = jobset.hyperperiod
+        boundaries = int(round(jobset.horizon / hyperperiod))
+        opening = [
+            (job.release, job.index + 1, "release", job.index, 0) for job in jobs
+        ]
+        opening.extend(
+            (boundary * hyperperiod, len(jobs) + boundary, "boundary", boundary, 0)
+            for boundary in range(1, boundaries + 1)
+        )
+        heapq.heapify(opening)
+        self.opening_queue = tuple(opening)
+        # Jobs of the dropped applications per hyperperiod window, in
+        # index order.  Window ``w`` ends at boundary ``(w + 1) * H``; one
+        # window past the horizon catches faults in jobs that overrun it.
+        dropped = [job for job in jobs if job.graph_name in simulator._dropped]
+        self.droppable: Tuple[Tuple[int, ...], ...] = tuple(
+            _released_in_window(dropped, (window + 1) * hyperperiod, hyperperiod)
+            for window in range(hyperperiods + 1)
+        )
+
+
+def _released_in_window(
+    jobs: List[Job], boundary: float, hyperperiod: float
+) -> Tuple[int, ...]:
+    """Indices of the jobs released in the hyperperiod ending at ``boundary``."""
+    window_start = boundary - hyperperiod
+    return tuple(
+        job.index
+        for job in jobs
+        if window_start - 1e-12 <= job.release < boundary - 1e-12
+    )
 
 
 class _RunState:
@@ -176,13 +260,15 @@ class _RunState:
     def __init__(
         self,
         sim: Simulator,
-        jobset: JobSet,
+        compiled: _Compiled,
         profile: FaultProfile,
         sampler: ExecutionSampler,
         rng: random.Random,
     ):
         self.sim = sim
-        self.jobset = jobset
+        self.compiled = compiled
+        jobset = compiled.jobset
+        self.jobs = jobset.jobs
         self.profile = profile
         self.sampler = sampler
         self.rng = rng
@@ -190,7 +276,6 @@ class _RunState:
         self.horizon = jobset.horizon
 
         count = len(jobset)
-        jobs = jobset.jobs
         self.status = [_WAITING] * count
         self.released = [False] * count
         self.delivered: List[Set[int]] = [set() for _ in range(count)]
@@ -200,24 +285,6 @@ class _RunState:
         self.seg_start = [0.0] * count
         self.finish_time: List[Optional[float]] = [None] * count
         self.faulty_output = [False] * count
-
-        # Gating sets.
-        self.required_now: List[int] = []
-        self.required_all: List[int] = []
-        for job in jobs:
-            non_demand = sum(1 for p in job.preds if not p[3])
-            self.required_now.append(non_demand)
-            self.required_all.append(len(job.preds))
-
-        # Successor adjacency; cross-PE edges are the ones an injected
-        # message fault can hit.
-        self.succs: List[List[Tuple[int, float, bool]]] = [
-            [] for _ in range(count)
-        ]
-        for job in jobs:
-            for pred_index, _best, worst, _on_demand in job.preds:
-                cross_pe = jobs[pred_index].processor != job.processor
-                self.succs[pred_index].append((job.index, worst, cross_pe))
 
         # Per-PE ready heaps and running job.
         self.ready: Dict[str, List[Tuple[int, int, int]]] = {}
@@ -236,8 +303,10 @@ class _RunState:
         self.forced_hyperperiods: Set[int] = set()
 
         # Event queue: (time, sequence, kind, a, b).
-        self.queue: List[Tuple[float, int, str, int, int]] = []
-        self.sequence = 0
+        self.queue: List[Tuple[float, int, str, int, int]] = list(
+            compiled.opening_queue
+        )
+        self.sequence = len(self.queue)
         self.events_processed = 0
 
         # Results.
@@ -245,11 +314,6 @@ class _RunState:
         self.transitions: List[Tuple[float, str]] = []
         self.unsafe: List[Tuple[str, int]] = []
         self.faults_observed = 0
-
-        for job in jobs:
-            self.push(job.release, "release", job.index, 0)
-        for boundary in range(1, int(round(self.horizon / self.hyperperiod)) + 1):
-            self.push(boundary * self.hyperperiod, "boundary", boundary, 0)
 
     # ------------------------------------------------------------------
     # Event machinery
@@ -263,7 +327,7 @@ class _RunState:
         if not self.sim._collect_trace:
             return
         if job_index >= 0:
-            job = self.jobset.jobs[job_index]
+            job = self.jobs[job_index]
             self.trace.append(
                 TraceEvent(
                     time=time,
@@ -316,7 +380,7 @@ class _RunState:
 
     def on_arrival(self, time: float, dst: int, src: int) -> None:
         self.delivered[dst].add(src)
-        jobs = self.jobset.jobs
+        jobs = self.jobs
         dst_task = jobs[dst].task_name
         if dst_task in self.sim._voter_groups:
             self.update_voter(time, dst)
@@ -333,7 +397,7 @@ class _RunState:
     def on_complete(self, time: float, index: int, epoch: int) -> None:
         if epoch != self.epoch[index] or self.status[index] != _RUNNING:
             return  # stale completion (preempted or dropped meanwhile)
-        jobs = self.jobset.jobs
+        jobs = self.jobs
         job = jobs[index]
         processor = job.processor
         task_name = job.task_name
@@ -385,7 +449,7 @@ class _RunState:
         if task_name in self.sim._voter_groups:
             self.finish_voter(time, index)
 
-        for dst, comm_worst, cross_pe in self.succs[index]:
+        for dst, comm_worst, cross_pe in self.compiled.succs[index]:
             delay = comm_worst
             if cross_pe and self.profile.has_message_faults:
                 delay = self.message_delay(time, index, dst, comm_worst)
@@ -404,7 +468,7 @@ class _RunState:
         but the payload is corrupt, recorded as an unsafe event (the
         communication analog of exhausted re-execution).
         """
-        jobs = self.jobset.jobs
+        jobs = self.jobs
         src = jobs[src_index]
         dst = jobs[dst_index]
         budget = self.sim._arq_retries
@@ -437,7 +501,7 @@ class _RunState:
     # ------------------------------------------------------------------
 
     def gates_satisfied(self, index: int) -> bool:
-        jobs = self.jobset.jobs
+        jobs = self.jobs
         job = jobs[index]
         task_name = job.task_name
         delivered = len(self.delivered[index])
@@ -445,25 +509,23 @@ class _RunState:
             primary = self.sim._passive_primary[task_name]
             if not self.activated.get((primary, job.instance), False):
                 return False
-            return delivered >= self.required_all[index]
+            return delivered >= self.compiled.required_all[index]
         if task_name in self.sim._voter_groups:
             primary = self.sim._voter_groups[task_name][0]
             if self.activated.get((primary, job.instance), False):
-                return delivered >= self.required_all[index]
-            return self.count_non_demand(index) >= self.required_now[index]
-        return delivered >= self.required_now[index]
+                return delivered >= self.compiled.required_all[index]
+            return self.count_non_demand(index) >= self.compiled.required_now[index]
+        return delivered >= self.compiled.required_now[index]
 
     def count_non_demand(self, index: int) -> int:
-        job = self.jobset.jobs[index]
-        non_demand_preds = {p[0] for p in job.preds if not p[3]}
-        return len(self.delivered[index] & non_demand_preds)
+        return len(self.delivered[index] & self.compiled.non_demand[index])
 
     def check_ready(self, time: float, index: int) -> None:
         if self.status[index] != _WAITING or not self.released[index]:
             return
         if not self.gates_satisfied(index):
             return
-        job = self.jobset.jobs[index]
+        job = self.jobs[index]
         self.status[index] = _READY
         heapq.heappush(self.ready[job.processor], (job.priority, self.next_seq(), index))
         self.schedule(time, job.processor)
@@ -486,7 +548,7 @@ class _RunState:
         if top is None:
             return
         current = self.running[processor]
-        jobs = self.jobset.jobs
+        jobs = self.jobs
         if current is None:
             self.start(time, processor, top)
             return
@@ -522,12 +584,12 @@ class _RunState:
         self.record(time, "start", index)
 
     def sample_duration(self, index: int) -> float:
-        job = self.jobset.jobs[index]
+        job = self.jobs[index]
         return self.sampler.sample(job.bcet, job.wcet, self.rng)
 
     def sample_recovery(self, index: int) -> float:
         """Duration of one fault recovery (full re-run or one segment)."""
-        job = self.jobset.jobs[index]
+        job = self.jobs[index]
         low, high = self.sim._hardened.recovery_bounds(job.task_name)
         processor = self.sim._architecture.processor(job.processor)
         return self.sampler.sample(
@@ -539,7 +601,7 @@ class _RunState:
     # ------------------------------------------------------------------
 
     def update_voter(self, time: float, voter_index: int) -> None:
-        jobs = self.jobset.jobs
+        jobs = self.jobs
         voter_job = jobs[voter_index]
         voter_task = voter_job.task_name
         primary, actives, passives = self.sim._voter_groups[voter_task]
@@ -561,13 +623,15 @@ class _RunState:
                 self.record(time, "activate", voter_index, detail=primary)
                 self.trigger_critical(time, primary)
                 for passive_name in passives:
-                    passive_job = self.find_job(passive_name, voter_job.instance)
+                    passive_job = self.compiled.index_of.get(
+                        (passive_name, voter_job.instance)
+                    )
                     if passive_job is not None:
                         self.check_ready(time, passive_job)
 
     def finish_voter(self, time: float, voter_index: int) -> None:
         """Majority decision once the voter's execution completes."""
-        jobs = self.jobset.jobs
+        jobs = self.jobs
         voter_job = jobs[voter_index]
         voter_task = voter_job.task_name
         primary, actives, passives = self.sim._voter_groups[voter_task]
@@ -591,52 +655,42 @@ class _RunState:
             self.unsafe.append((voter_task, voter_job.instance))
             self.record(time, "unsafe", voter_index)
 
-    def find_job(self, task_name: str, instance: int) -> Optional[int]:
-        for job in self.jobset.jobs_of_task(task_name):
-            if job.instance == instance:
-                return job.index
-        return None
-
     # ------------------------------------------------------------------
     # Critical state and dropping
     # ------------------------------------------------------------------
 
     def trigger_critical(self, time: float, trigger: str) -> None:
         self.transitions.append((time, trigger))
-        boundary = (int(time // self.hyperperiod) + 1) * self.hyperperiod
+        window = int(time // self.hyperperiod)
+        boundary = (window + 1) * self.hyperperiod
         already_critical = self.critical_until >= boundary - 1e-12
         self.critical_until = max(self.critical_until, boundary)
         if already_critical:
             return
         self.record(time, "critical", detail=trigger)
-        if not self.sim._dropped:
-            return
-        window_start = boundary - self.hyperperiod
-        jobs = self.jobset.jobs
-        for job in jobs:
-            if job.graph_name not in self.sim._dropped:
-                continue
-            if not (window_start - 1e-12 <= job.release < boundary - 1e-12):
-                continue
-            status = self.status[job.index]
+        droppable = self.compiled.droppable
+        jobs = self.jobs
+        for index in droppable[window] if window < len(droppable) else ():
+            status = self.status[index]
             if status in (_DONE, _DROPPED):
                 continue
+            processor = jobs[index].processor
             if status == _RUNNING:
-                self.epoch[job.index] += 1
-                self.running[job.processor] = None
-                self.status[job.index] = _DROPPED
-                self.record(time, "drop", job.index)
-                self.schedule(time, job.processor)
+                self.epoch[index] += 1
+                self.running[processor] = None
+                self.status[index] = _DROPPED
+                self.record(time, "drop", index)
+                self.schedule(time, processor)
             else:
-                self.status[job.index] = _DROPPED
-                self.record(time, "drop", job.index)
+                self.status[index] = _DROPPED
+                self.record(time, "drop", index)
 
     # ------------------------------------------------------------------
     # Result aggregation
     # ------------------------------------------------------------------
 
     def result(self) -> SimulationResult:
-        jobs = self.jobset.jobs
+        jobs = self.jobs
         outcomes: Dict[Tuple[str, int], InstanceOutcome] = {}
         apps = self.sim._hardened.applications
         for job in jobs:

@@ -142,12 +142,15 @@ class MonteCarloEstimator:
             profiles=len(runs),
             max_faults=self._max_faults,
         ) as campaign_span:
+            # Every profile runs on the same job set: unroll it once.
+            compiled = self._simulator.compile(hyperperiods)
             for profile in runs:
                 sim_result = self._simulator.run(
                     profile=profile,
                     sampler=self._sampler,
                     rng=random.Random(rng.getrandbits(32)),
                     hyperperiods=hyperperiods,
+                    compiled=compiled,
                 )
                 result.profiles += 1
                 if sim_result.entered_critical_state:

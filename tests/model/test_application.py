@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro._timing import hyperperiod
 from repro.errors import ModelError
+from repro.model import application
 from repro.model.application import ApplicationSet
 from repro.model.task import Channel, Task
 from repro.model.taskgraph import TaskGraph
+from repro.suites import benchmark_names, get_benchmark
 
 
 def graph(name, tasks, period=10.0, droppable=True, service=1.0):
@@ -91,6 +94,23 @@ class TestTiming:
     def test_hyperperiod_nonharmonic(self):
         apps = ApplicationSet([graph("g1", ["a"], period=6.0), graph("g2", ["b"], period=10.0)])
         assert apps.hyperperiod == 30.0
+
+    @pytest.mark.parametrize("suite", benchmark_names())
+    def test_cached_hyperperiod_matches_lcm(self, suite, monkeypatch):
+        apps = get_benchmark(suite).problem.applications
+        expected = hyperperiod(g.period for g in apps.graphs)
+        calls = []
+
+        def counting(periods):
+            calls.append(1)
+            return hyperperiod(periods)
+
+        monkeypatch.setattr(application, "hyperperiod", counting)
+        fresh = ApplicationSet(apps.graphs)
+        assert fresh.hyperperiod == expected
+        assert fresh.hyperperiod == expected
+        assert len(calls) == 1  # computed once, however often it is read
+        assert apps.hyperperiod == expected
 
     def test_total_utilization(self, apps):
         expected = 7.5 / 20.0 + 5.0 / 10.0
