@@ -4,7 +4,8 @@ Drives a real server subprocess through the full surface:
 
 1. health + metrics endpoints;
 2. served analyze byte-identical to `repro.api.analyze` on every
-   built-in suite;
+   built-in suite, plus one non-default analyze (fast back-end, task
+   granularity, TDMA fabric) and one simulate against `repro.api.simulate`;
 3. a 100-request concurrent mixed load (analyze/simulate, with
    duplicates): zero errors, dedup hits observed, queue depth bounded;
 4. explore job lifecycle: submit, poll, cancel;
@@ -41,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import analyze, load  # noqa: E402
+from repro.api import analyze, load, simulate  # noqa: E402
 from repro.model.mapping import Mapping  # noqa: E402
 from repro.model.serialization import SystemBundle  # noqa: E402
 from repro.obs.bench import write_bench_report  # noqa: E402
@@ -55,6 +56,7 @@ from repro.serve.encoding import (  # noqa: E402
     analysis_result_to_dict,
     bundle_to_payload,
     canonical_bytes,
+    montecarlo_result_to_dict,
 )
 from repro.suites import benchmark_names  # noqa: E402
 
@@ -113,7 +115,21 @@ def check_byte_identity(client: ServeClient) -> None:
         served = client.analyze_raw(mapped)
         direct = canonical_bytes(analysis_result_to_dict(analyze(mapped)))
         assert served == direct, f"served {name} differs from repro.api.analyze"
-    print(f"ok: byte-identical to the facade on {len(benchmark_names())} suites")
+    cruise = mapped_suite("cruise")
+    options = {"backend": "fast", "granularity": "task", "comm_backend": "tdma"}
+    served = client.analyze_raw(cruise, **options)
+    direct = canonical_bytes(analysis_result_to_dict(analyze(cruise, **options)))
+    assert served == direct, f"served analyze {options} differs from the facade"
+    options = {"profiles": 20, "seed": 4, "dropped": ["log", "info"]}
+    served = client.simulate_raw(cruise, **options)
+    direct = canonical_bytes(
+        montecarlo_result_to_dict(simulate(cruise, **options))
+    )
+    assert served == direct, f"served simulate {options} differs from the facade"
+    print(
+        f"ok: byte-identical to the facade on {len(benchmark_names())} suites, "
+        "a non-default analyze and a simulate"
+    )
 
 
 def check_load(client: ServeClient) -> None:
@@ -185,10 +201,12 @@ def reference_front(params: dict):
         import repro
 
         result = repro.explore(
-            mapped_suite("cruise"),
-            generations=params["generations"],
-            population=params["population"],
-            seed=params["seed"],
+            repro.dse.ExploreRequest.from_options(
+                mapped_suite("cruise"),
+                generations=params["generations"],
+                population=params["population"],
+                seed=params["seed"],
+            )
         )
         _REFERENCE_FRONTS[key] = [
             (p.power, p.service, tuple(p.dropped)) for p in result.pareto

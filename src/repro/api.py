@@ -9,7 +9,9 @@ This module condenses the four everyday flows into one import::
     bundle = repro.api.load("cruise.json")          # or a suite name
     result = repro.api.analyze(bundle, dropped=("info", "log"))
     sim = repro.api.simulate(bundle, profiles=500)
-    front = repro.api.explore(bundle, generations=25)
+    front = repro.api.explore(
+        repro.dse.ExploreRequest.from_options("cruise", generations=25)
+    )
     report = repro.api.verify(bundle, budget=200)
 
 Each function returns the *existing* result dataclasses —
@@ -19,17 +21,23 @@ Each function returns the *existing* result dataclasses —
 the deep modules keeps working and code written against the facade can
 drop down a layer when it needs to.
 
+Each operation has one typed request that the CLI, the HTTP layer and
+this module all build: :class:`AnalyzeRequest`, :class:`SimulateRequest`,
+:class:`~repro.dse.request.ExploreRequest`.
+
 ``system`` arguments accept a :class:`~repro.model.serialization
 .SystemBundle`, a path to a system JSON file, or the name of a built-in
 benchmark suite (``cruise``, ``dt-med``, ``dt-large``, ``synth-1``,
 ``synth-2``).
 """
 
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Iterable, Optional, Tuple, Union
 
-from repro.core.analysis import MCAnalysisResult
-from repro.core.factory import make_analysis
+from repro.comm import COMM_BACKENDS
+from repro.core.analysis import MCAnalysisResult, TRIGGER_GRANULARITIES
+from repro.core.factory import ANALYSIS_METHODS, SCHED_BACKENDS, make_analysis
 from repro.core.fastpath import FastPathConfig
 from repro.errors import ReproError
 from repro.hardening.spec import HardeningPlan
@@ -39,15 +47,19 @@ from repro.model.mapping import Mapping
 from repro.model.serialization import SystemBundle, load_system
 from repro.obs.trace import span
 from repro.sched.comm import CommModel
+from repro.sched.jobs import SCHED_POLICIES
 from repro.sched.wcrt import SchedBackend
 
 __all__ = [
+    "AnalyzeRequest",
+    "SimulateRequest",
     "load",
     "analyze",
     "simulate",
     "explore",
     "verify",
     "validate_dropped",
+    "legacy_comm_backend",
     "cache_stats",
     "cache_clear",
 ]
@@ -84,19 +96,27 @@ def load(source: SystemLike) -> SystemBundle:
     return load_system(source)
 
 
+def _drop_names(dropped: DroppedLike) -> Tuple[str, ...]:
+    if isinstance(dropped, str):
+        dropped = dropped.split(",")
+    elif not isinstance(dropped, (list, tuple, set, frozenset)) or not all(
+        isinstance(n, str) for n in dropped
+    ):
+        raise ReproError("dropped must be a list of names or one comma string")
+    return tuple(sorted({n.strip() for n in dropped if n and n.strip()}))
+
+
 def validate_dropped(
     applications: ApplicationSet, dropped: DroppedLike
 ) -> Tuple[str, ...]:
     """Normalise a drop set and reject names missing from the task graphs.
 
-    Accepts an iterable of application names or one comma-separated
-    string; surrounding whitespace is stripped and empty entries are
-    discarded.  Raises :class:`~repro.errors.ReproError` listing *all*
-    unknown names, not just the first.
+    Accepts a list, tuple or set of application names or one
+    comma-separated string; names are stripped, de-duplicated and sorted.
+    Raises :class:`~repro.errors.ReproError` listing *all* unknown names,
+    not just the first.
     """
-    if isinstance(dropped, str):
-        dropped = dropped.split(",")
-    names = tuple(n.strip() for n in dropped if n and n.strip())
+    names = _drop_names(dropped)
     known = {graph.name for graph in applications.graphs}
     unknown = sorted(set(names) - known)
     if unknown:
@@ -131,12 +151,155 @@ def cache_clear() -> None:
     shared_cache().clear()
 
 
+def legacy_comm_backend(
+    bundle: SystemBundle, comm_backend: Optional[str], bus_contention: bool
+) -> Optional[str]:
+    """Resolve the legacy ``bus_contention`` flag (api keyword, CLI flag,
+    HTTP field) to a comm backend.
+
+    ``True`` selects ``message-jobs`` when no backend is given and
+    ``bundle`` declares a flat fabric; against any other backend, given
+    or declared, it raises :class:`~repro.errors.ReproError`.
+    """
+    if not bus_contention:
+        return comm_backend
+    if comm_backend is None:
+        declared = bundle.architecture.interconnect.comm_backend
+        comm_backend = _MESSAGE_JOBS if declared == "flat" else declared
+    if comm_backend != _MESSAGE_JOBS:
+        raise ReproError(
+            f"bus_contention=True means comm_backend={_MESSAGE_JOBS!r} "
+            f"and conflicts with comm backend {comm_backend!r}"
+        )
+    return comm_backend
+
+
+def _check_choice(name: str, value: Any, choices: Tuple) -> None:
+    if value not in choices:
+        raise ReproError(
+            f"{name} must be one of {', '.join(choices)}, got {value!r}"
+        )
+
+
+def _check_number(name: str, value: Any, kind, low, high=None) -> None:
+    # Booleans are ints to Python but never numbers on the wire.
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        noun = "an integer" if kind is int else "a number"
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ReproError(f"{name} must be {noun} {bound}")
+
+
+@dataclass(frozen=True)
+class _Request:
+    """The fields and checks :class:`AnalyzeRequest` and
+    :class:`SimulateRequest` share.
+
+    A request's fields, ``system`` first, are the operation's one schema:
+    the CLI flags, the HTTP body fields and the :func:`analyze` /
+    :func:`simulate` keywords all carry these names, and every front door
+    builds the request, so its checks run once.
+    """
+
+    system: Any  #: SystemBundle, suite name, path, or inline payload dict
+    dropped: DroppedLike = ()
+    policy: str = "fp"
+    comm_backend: Optional[str] = None
+    comm_arq: Optional[int] = None
+    comm_arq_timeout: Optional[float] = None
+
+    #: The operation's wire name (HTTP route ``/v1/<operation>``).
+    operation: ClassVar[str]
+    #: Whether the HTTP body may use the legacy ``bus_contention`` alias.
+    bus_contention_alias: ClassVar[bool] = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "dropped", _drop_names(self.dropped))
+        _check_choice("policy", self.policy, SCHED_POLICIES)
+        if self.comm_backend is not None:
+            _check_choice("comm_backend", self.comm_backend, COMM_BACKENDS)
+        if self.comm_arq is not None:
+            _check_number("comm_arq", self.comm_arq, int, 0)
+        if self.comm_arq_timeout is not None:
+            _check_number(
+                "comm_arq_timeout", self.comm_arq_timeout, (int, float), 0
+            )
+            object.__setattr__(
+                self, "comm_arq_timeout", float(self.comm_arq_timeout)
+            )
+
+    def options(self) -> Dict[str, Any]:
+        """The canonical wire body minus the system: what ``repro submit``
+        sends, the keywords of :func:`analyze`/:func:`simulate`, and, with
+        the inlined system, the serve layer's dedup digest."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        del values["system"]
+        values["dropped"] = list(self.dropped)
+        return values
+
+    @classmethod
+    def from_payload(cls, payload: Any, allow_paths: bool = False):
+        """The request behind an HTTP JSON body (see
+        :func:`repro.serve.encoding.parse_request`)."""
+        from repro.serve.encoding import parse_request
+
+        return parse_request(cls, payload, allow_paths=allow_paths)
+
+
+@dataclass(frozen=True)
+class AnalyzeRequest(_Request):
+    """One WCRT analysis (Algorithm 1), checked against
+    :data:`~repro.core.factory.ANALYSIS_METHODS`,
+    :data:`~repro.core.factory.SCHED_BACKENDS`,
+    :data:`~repro.core.analysis.TRIGGER_GRANULARITIES`,
+    :data:`~repro.sched.jobs.SCHED_POLICIES` and
+    :data:`repro.comm.COMM_BACKENDS`."""
+
+    method: str = "proposed"
+    backend: Optional[str] = "window"  #: ``None`` spells the default
+    granularity: str = "job"
+
+    operation: ClassVar[str] = "analyze"
+    bus_contention_alias: ClassVar[bool] = True
+
+    def __post_init__(self):
+        if self.backend is None:
+            object.__setattr__(self, "backend", "window")
+        _check_choice("method", self.method, ANALYSIS_METHODS)
+        _check_choice("backend", self.backend, SCHED_BACKENDS)
+        _check_choice("granularity", self.granularity, TRIGGER_GRANULARITIES)
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class SimulateRequest(_Request):
+    """One WC-Sim Monte-Carlo campaign; ``profiles >= 1``, ``seed >= 0``,
+    ``max_faults >= 1`` and ``worst_bias`` in [0, 1] at every door."""
+
+    profiles: int = 500
+    seed: int = 0
+    max_faults: int = 3
+    worst_bias: float = 0.5
+
+    operation: ClassVar[str] = "simulate"
+
+    def __post_init__(self):
+        for name, minimum in (("profiles", 1), ("seed", 0), ("max_faults", 1)):
+            _check_number(name, getattr(self, name), int, minimum)
+        _check_number("worst_bias", self.worst_bias, (int, float), 0, 1)
+        object.__setattr__(self, "worst_bias", float(self.worst_bias))
+        super().__post_init__()
+
+
 def _apply_comm_overrides(
     bundle: SystemBundle,
     comm_backend: Optional[str],
     comm_arq: Optional[int],
     comm_arq_timeout: Optional[float],
-    bus_contention: bool = False,
 ) -> SystemBundle:
     """Rewrite the bundle's fabric comm configuration (``--comm-*``).
 
@@ -144,20 +307,7 @@ def _apply_comm_overrides(
     object), so everything downstream — default comm resolution, job-set
     fingerprints, the verification oracles — sees one consistent
     configuration.  All-``None`` is the no-op fast path.
-
-    ``bus_contention=True``, the legacy spelling of
-    ``comm_backend="message-jobs"``, is mapped here only; combined with
-    any other backend it raises :class:`~repro.errors.ReproError`.
     """
-    if bus_contention:
-        if comm_backend is None:
-            declared = bundle.architecture.interconnect.comm_backend
-            comm_backend = _MESSAGE_JOBS if declared == "flat" else declared
-        if comm_backend != _MESSAGE_JOBS:
-            raise ReproError(
-                f"bus_contention=True means comm_backend={_MESSAGE_JOBS!r} "
-                f"and conflicts with comm backend {comm_backend!r}"
-            )
     if comm_backend is None and comm_arq is None and comm_arq_timeout is None:
         return bundle
     from repro.comm import with_comm
@@ -173,11 +323,31 @@ def _apply_comm_overrides(
     )
 
 
+def _prepare(request: _Request, plan, mapping):
+    """Load, apply the comm overrides, check the mapping, harden (plan and
+    mapping default to the bundle's own) and check the drop set."""
+    bundle = _apply_comm_overrides(
+        load(request.system),
+        request.comm_backend,
+        request.comm_arq,
+        request.comm_arq_timeout,
+    )
+    mapping = mapping if mapping is not None else bundle.mapping
+    if mapping is None:
+        raise ReproError(
+            "system carries no mapping; pass mapping=... or run explore()"
+        )
+    plan = plan if plan is not None else (bundle.plan or HardeningPlan())
+    hardened = harden(bundle.applications, plan)
+    drop_set = validate_dropped(bundle.applications, request.dropped)
+    return hardened, bundle.architecture, mapping, drop_set
+
+
 def analyze(
     system: SystemLike,
     *,
     method: str = "proposed",
-    backend: Union[SchedBackend, str, None] = None,
+    backend: Optional[str] = None,
     granularity: str = "job",
     dropped: DroppedLike = (),
     plan: Optional[HardeningPlan] = None,
@@ -192,18 +362,12 @@ def analyze(
 ) -> MCAnalysisResult:
     """WCRT analysis of a mapped system (the CLI ``analyze`` flow).
 
-    ``plan``/``mapping`` default to the bundle's own; ``method`` is one
-    of ``proposed``/``naive``/``adhoc`` and ``backend`` one of
-    ``window``/``fast``/``holistic`` (or a back-end instance), both
-    routed through :func:`repro.core.factory.make_analysis`.
-
-    ``comm_backend``/``comm_arq``/``comm_arq_timeout`` rewrite the
-    system's interconnect comm configuration before analysis (the CLI's
-    ``--comm-backend``/``--comm-arq`` flags; names are validated against
-    :data:`repro.comm.COMM_BACKENDS`).  ``comm`` still accepts a
-    ready-made model/backend instance, which then wins outright.
-    ``bus_contention=True`` is the legacy spelling of
-    ``comm_backend="message-jobs"``.
+    The request keywords are the :class:`AnalyzeRequest` fields;
+    ``plan``/``mapping`` default to the bundle's own.  The ``comm_*``
+    keywords rewrite the system's interconnect before analysis; ``comm``
+    still accepts a ready-made model/backend instance, which then wins
+    outright.  ``bus_contention=True`` is the legacy spelling of
+    ``comm_backend="message-jobs"`` (see :func:`legacy_comm_backend`).
     """
     with span("api.analyze", method=method, granularity=granularity):
         if bus_contention and comm is not None:
@@ -212,28 +376,26 @@ def analyze(
                 f"pass comm_backend={_MESSAGE_JOBS!r} instead"
             )
         bundle = load(system)
-        bundle = _apply_comm_overrides(
-            bundle, comm_backend, comm_arq, comm_arq_timeout, bus_contention
+        request = AnalyzeRequest(
+            bundle, method=method, backend=backend, granularity=granularity,
+            dropped=dropped, policy=policy, comm_arq=comm_arq,
+            comm_arq_timeout=comm_arq_timeout,
+            comm_backend=legacy_comm_backend(
+                bundle, comm_backend, bus_contention
+            ),
         )
-        mapping = mapping if mapping is not None else bundle.mapping
-        if mapping is None:
-            raise ReproError(
-                "system carries no mapping; pass mapping=... or run explore()"
-            )
-        plan = plan if plan is not None else (bundle.plan or HardeningPlan())
-        hardened = harden(bundle.applications, plan)
-        drop_set = validate_dropped(bundle.applications, dropped)
+        hardened, architecture, mapping, drop_set = _prepare(
+            request, plan, mapping
+        )
         analysis = make_analysis(
             method=method,
-            backend=backend,
+            backend=request.backend,
             granularity=granularity,
             comm=comm,
             policy=policy,
             fast_path=fast_path,
         )
-        return analysis.analyze(
-            hardened, bundle.architecture, mapping, drop_set
-        )
+        return analysis.analyze(hardened, architecture, mapping, drop_set)
 
 
 def simulate(
@@ -255,31 +417,26 @@ def simulate(
     """Monte-Carlo fault-injection campaign (the CLI ``simulate`` flow).
 
     Returns the :class:`~repro.sim.montecarlo.MonteCarloResult` of a
-    WC-Sim estimator over ``profiles`` random fault profiles.  Pass an
-    externally owned ``random.Random`` as ``rng`` to share a generator
-    with a larger campaign; it takes precedence over ``seed`` and the
-    result records ``seed=None``.  ``comm_backend``/``comm_arq``/
-    ``comm_arq_timeout`` rewrite the fabric comm configuration exactly
-    as in :func:`analyze`.
+    WC-Sim estimator over ``profiles`` random fault profiles; the request
+    keywords are the :class:`SimulateRequest` fields.  Pass an externally
+    owned ``random.Random`` as ``rng`` to share a generator with a larger
+    campaign; it takes precedence over ``seed`` and the result records
+    ``seed=None``.
     """
     from repro.sim import BiasedSampler, MonteCarloEstimator, Simulator
 
     with span("api.simulate", profiles=profiles, policy=policy):
-        bundle = load(system)
-        bundle = _apply_comm_overrides(
-            bundle, comm_backend, comm_arq, comm_arq_timeout
+        request = SimulateRequest(
+            system, profiles=profiles, seed=seed, dropped=dropped,
+            policy=policy, max_faults=max_faults, worst_bias=worst_bias,
+            comm_backend=comm_backend, comm_arq=comm_arq,
+            comm_arq_timeout=comm_arq_timeout,
         )
-        mapping = mapping if mapping is not None else bundle.mapping
-        if mapping is None:
-            raise ReproError(
-                "system carries no mapping; pass mapping=... or run explore()"
-            )
-        plan = plan if plan is not None else (bundle.plan or HardeningPlan())
-        hardened = harden(bundle.applications, plan)
-        drop_set = validate_dropped(bundle.applications, dropped)
+        hardened, architecture, mapping, drop_set = _prepare(
+            request, plan, mapping
+        )
         simulator = Simulator(
-            hardened, bundle.architecture, mapping,
-            dropped=drop_set, policy=policy,
+            hardened, architecture, mapping, dropped=drop_set, policy=policy
         )
         estimator = MonteCarloEstimator(
             simulator, sampler=BiasedSampler(worst_bias), max_faults=max_faults
@@ -350,26 +507,15 @@ def verify(
 
 
 def explore(
-    system,
+    request,
     *,
-    generations: int = 25,
-    population: int = 32,
-    seed: int = 0,
-    workers: int = 1,
-    backend: Optional[str] = None,
-    config=None,
-    islands: int = 1,
-    migration_every: int = 10,
-    migrants: int = 2,
-    topology: str = "ring",
     execution: Optional[str] = None,
     fleet: Optional[str] = None,
 ):
     """GA design-space exploration (the CLI ``explore`` flow).
 
-    The canonical call passes one :class:`~repro.dse.request
-    .ExploreRequest` — the same typed value the CLI and the HTTP job
-    layer build — and returns the
+    Takes one :class:`~repro.dse.request.ExploreRequest` — the same typed
+    value the CLI and the HTTP job layer build — and returns the
     :class:`~repro.dse.results.ExplorationResult`::
 
         request = repro.dse.ExploreRequest.from_options(
@@ -377,57 +523,12 @@ def explore(
         )
         result = repro.api.explore(request)
 
-    The keyword shortcuts (``generations=...``, ``population=...``,
-    ``config=...``) remain as thin deprecated shims: they build the
-    equivalent request through the same ``ExplorerConfig.from_options``
-    path and emit a :class:`DeprecationWarning`.
-
-    ``backend`` names the evaluator's schedulability back-end (one
-    validation path with serve and the CLI, via
-    :func:`repro.core.factory.make_dse_evaluator`); ``islands`` > 1
-    shards the run over island worker processes (``execution`` picks
-    ``process``/``inline``/``serve``; ``fleet`` is the serve base URL
-    for the durable-job fleet mode).
+    With more than one island, ``execution`` picks
+    ``process``/``inline``/``serve`` and ``fleet`` is the serve base URL
+    for the durable-job fleet mode.
     """
-    import warnings
-
     from repro.dse.islands import run_explore
-    from repro.dse.request import ExploreRequest, IslandTopology
 
-    if isinstance(system, ExploreRequest):
-        request = system
-    else:
-        warnings.warn(
-            "api.explore(system, **kwargs) is deprecated; build a "
-            "repro.dse.ExploreRequest (e.g. ExploreRequest.from_options)"
-            " and pass it as the single argument",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        shape = IslandTopology(
-            islands=islands,
-            migration_every=migration_every,
-            migrants=migrants,
-            kind=topology,
-        )
-        if config is not None:
-            request = ExploreRequest(
-                system=system, config=config, topology=shape,
-                backend=backend,
-            )
-        else:
-            request = ExploreRequest.from_options(
-                system,
-                backend=backend,
-                islands=islands,
-                migration_every=migration_every,
-                migrants=migrants,
-                topology=topology,
-                generations=generations,
-                population=population,
-                seed=seed,
-                workers=workers,
-            )
     with span(
         "api.explore",
         generations=request.config.generations,

@@ -37,11 +37,17 @@ self-time and critical path) or converted for Perfetto with
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Optional
 
 from repro import api
 from repro.benchgen.tgff import generate_problem
+from repro.comm import COMM_BACKENDS
 from repro.core import FastPathConfig
+from repro.core.analysis import TRIGGER_GRANULARITIES
+from repro.core.factory import ANALYSIS_METHODS, SCHED_BACKENDS
+from repro.dse.request import TOPOLOGY_KINDS
 from repro.errors import ReproError
 from repro.hardening.spec import HardeningPlan
 from repro.model.serialization import load_system, save_system
@@ -58,6 +64,11 @@ from repro.obs.logging import configure as configure_logging
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics
 from repro.obs.trace import tracer
+from repro.sched.jobs import SCHED_POLICIES
+from repro.serve.encoding import (
+    analysis_result_to_dict,
+    montecarlo_result_to_dict,
+)
 from repro.suites import benchmark_names, get_benchmark
 
 _LOG = get_logger("cli")
@@ -76,93 +87,116 @@ def _mapped_bundle(args):
     return bundle, plan
 
 
-def _add_comm_flags(parser) -> None:
-    """The ``--comm-*`` flag group shared by analyze/simulate/verify.
+#: ``choices``, ``help`` and ``metavar`` of the request flags; everything
+#: else (name, type, default) is read off the request's fields.
+_FLAG_CHOICES = {
+    "method": ANALYSIS_METHODS,
+    "backend": SCHED_BACKENDS,
+    "granularity": TRIGGER_GRANULARITIES,
+    "policy": SCHED_POLICIES,
+    "comm_backend": COMM_BACKENDS,
+}
+_FLAG_HELP = {
+    "backend": "schedulability back-end for the proposed analysis",
+    "dropped": "comma-separated dropped applications",
+    "policy": "per-processor scheduling policy",
+    "comm_backend": "interconnect contention model (overrides the "
+    "system's comm_backend field)",
+    "comm_arq": "message-fault budget: lost transfers are re-sent up to K "
+    "times (overrides the system's arq_retries field)",
+    "comm_arq_timeout": "loss-detection overhead charged per ARQ "
+    "retransmission",
+}
+_FLAG_METAVAR = {"comm_arq": "K", "comm_arq_timeout": "T"}
+_FLAG_TYPES = {
+    int: int, Optional[int]: int, float: float, Optional[float]: float
+}
 
-    ``--comm-backend`` validates against the registry via argparse
-    ``choices`` — unknown names list every registered backend, the same
-    UX as ``--method``.
-    """
-    from repro.comm import COMM_BACKENDS
 
-    parser.add_argument(
-        "--comm-backend", choices=COMM_BACKENDS, default=None,
-        help="interconnect contention model (overrides the system's "
-        "comm_backend field)",
-    )
-    parser.add_argument(
-        "--comm-arq", type=int, default=None, metavar="K",
-        help="message-fault budget: lost transfers are re-sent up to K "
-        "times (overrides the system's arq_retries field)",
-    )
-    parser.add_argument(
-        "--comm-arq-timeout", type=float, default=None, metavar="T",
-        help="loss-detection overhead charged per ARQ retransmission",
-    )
+def _add_request_flags(parser, request_type, names=None) -> None:
+    """One ``--flag`` per request field (or per field in ``names``): the
+    flags of ``analyze``/``simulate`` and their ``submit`` twins."""
+    for f in fields(request_type)[1:]:  # ``system`` is positional
+        if names and f.name not in names:
+            continue
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=_FLAG_TYPES.get(f.type),
+            default=f.default,
+            choices=_FLAG_CHOICES.get(f.name),
+            help=_FLAG_HELP.get(f.name),
+            metavar=_FLAG_METAVAR.get(f.name),
+        )
+    if request_type.bus_contention_alias and not names:
+        parser.add_argument(
+            "--bus-contention", action="store_true",
+            help="legacy spelling of --comm-backend message-jobs",
+        )
+
+
+def _request_from_args(request_type, args, system):
+    """The request an ``analyze``/``simulate`` argv (or its ``submit``
+    twin) resolves to: every request field is the flag of that name."""
+    options = {f.name: getattr(args, f.name) for f in fields(request_type)[1:]}
+    return request_type(system=system, **options)
 
 
 def _cmd_analyze(args) -> int:
     bundle, plan = _mapped_bundle(args)
+    request = _request_from_args(api.AnalyzeRequest, args, bundle)
     result = api.analyze(
         bundle,
-        method=args.method,
-        backend=args.backend,
-        granularity=args.granularity,
-        dropped=args.dropped or "",
+        **request.options(),
         plan=plan,
-        policy=args.policy,
         bus_contention=args.bus_contention,
         # Memoization + warm starts change no reported number (prune
         # stays off), so the fast path is on unless explicitly disabled.
         fast_path=None if args.no_fast_path else FastPathConfig(),
-        comm_backend=args.comm_backend,
-        comm_arq=args.comm_arq,
-        comm_arq_timeout=args.comm_arq_timeout,
     )
+    return _print_analysis(analysis_result_to_dict(result), args.method)
+
+
+def _print_analysis(summary, method: str) -> int:
+    """Print an analysis summary (local or served); the exit code."""
     print(f"{'application':>16} | {'wcrt':>10} | {'deadline':>9} | status")
     print("-" * 52)
-    for name, verdict in result.verdicts.items():
-        status = "dropped" if verdict.dropped else (
-            "ok" if verdict.meets_deadline else "MISS"
+    for name, verdict in summary["verdicts"].items():
+        status = "dropped" if verdict["dropped"] else (
+            "ok" if verdict["meets_deadline"] else "MISS"
         )
         print(
-            f"{name:>16} | {verdict.wcrt:10.2f} | {verdict.deadline:9.1f} | {status}"
+            f"{name:>16} | {verdict['wcrt']:10.2f} | "
+            f"{verdict['deadline']:9.1f} | {status}"
         )
-    if args.method == "proposed":
-        print(f"\ntransitions analyzed: {result.transitions_analyzed}")
-    return 0 if result.schedulable else 1
+    if method == "proposed":
+        print(f"\ntransitions analyzed: {summary['transitions_analyzed']}")
+    return 0 if summary["schedulable"] else 1
 
 
 def _cmd_simulate(args) -> int:
     bundle, plan = _mapped_bundle(args)
-    result = api.simulate(
-        bundle,
-        profiles=args.profiles,
-        seed=args.seed,
-        dropped=args.dropped or "",
-        plan=plan,
-        policy=args.policy,
-        max_faults=args.max_faults,
-        worst_bias=args.worst_bias,
-        comm_backend=args.comm_backend,
-        comm_arq=args.comm_arq,
-        comm_arq_timeout=args.comm_arq_timeout,
-    )
-    print(
-        f"{'application':>16} | {'max resp':>9} | {'p99':>9} | {'mean':>9}"
-    )
+    request = _request_from_args(api.SimulateRequest, args, bundle)
+    result = api.simulate(bundle, **request.options(), plan=plan)
+    return _print_simulation(montecarlo_result_to_dict(result))
+
+
+def _print_simulation(summary) -> int:
+    """Print a Monte-Carlo summary (local or served); the exit code."""
+    print(f"{'application':>16} | {'max resp':>9} | {'p99':>9} | {'mean':>9}")
     print("-" * 54)
-    for graph, worst in sorted(result.worst_response.items()):
-        p99 = result.percentile(graph, 0.99)
-        mean = result.mean_response(graph)
-        print(f"{graph:>16} | {worst:9.2f} | {p99:9.2f} | {mean:9.2f}")
+    for graph in sorted(summary["worst_response"]):
+        print(
+            f"{graph:>16} | {summary['worst_response'][graph]:9.2f} | "
+            f"{summary['p99_response'][graph]:9.2f} | "
+            f"{summary['mean_response'][graph]:9.2f}"
+        )
     print(
-        f"\nprofiles: {result.profiles}, critical runs: {result.critical_runs}, "
-        f"runs with drops: {result.runs_with_drops}"
+        f"\nprofiles: {summary['profiles']}, "
+        f"critical runs: {summary['critical_runs']}, "
+        f"runs with drops: {summary['runs_with_drops']}"
     )
-    if result.deadline_miss_runs:
-        for graph, count in sorted(result.deadline_miss_runs.items()):
-            print(f"deadline misses observed for {graph!r} in {count} run(s)")
+    for graph, count in sorted(summary["deadline_miss_runs"].items()):
+        print(f"deadline misses observed for {graph!r} in {count} run(s)")
     return 0
 
 
@@ -545,62 +579,25 @@ def _submit_client(args):
 
 
 def _cmd_submit_analyze(args) -> int:
-    client = _submit_client(args)
-    params = {
-        "granularity": args.granularity,
-        "policy": args.policy,
-        "bus_contention": args.bus_contention,
-        "method": args.method,
-    }
-    if args.backend != "window":
-        params["backend"] = args.backend
-    if args.dropped:
-        params["dropped"] = args.dropped
-    if args.deadline is not None:
-        params["deadline_seconds"] = args.deadline
-    result = client.analyze(_submit_system(args.system), **params)
-    print(f"{'application':>16} | {'wcrt':>10} | {'deadline':>9} | status")
-    print("-" * 52)
-    for name, verdict in sorted(result["verdicts"].items()):
-        status = "dropped" if verdict["dropped"] else (
-            "ok" if verdict["meets_deadline"] else "MISS"
-        )
-        print(
-            f"{name:>16} | {verdict['wcrt']:10.2f} | "
-            f"{verdict['deadline']:9.1f} | {status}"
-        )
-    print(f"\ntransitions analyzed: {result['transitions_analyzed']}")
-    return 0 if result["schedulable"] else 1
+    request = _request_from_args(
+        api.AnalyzeRequest, args, _submit_system(args.system)
+    )
+    result = _submit_client(args).analyze(
+        request.system,
+        **request.options(),
+        bus_contention=args.bus_contention,
+        deadline_seconds=args.deadline,
+    )
+    return _print_analysis(result, args.method)
 
 
 def _cmd_submit_simulate(args) -> int:
-    client = _submit_client(args)
-    params = {
-        "profiles": args.profiles,
-        "seed": args.seed,
-        "policy": args.policy,
-        "max_faults": args.max_faults,
-        "worst_bias": args.worst_bias,
-    }
-    if args.dropped:
-        params["dropped"] = args.dropped
-    if args.deadline is not None:
-        params["deadline_seconds"] = args.deadline
-    result = client.simulate(_submit_system(args.system), **params)
-    print(f"{'application':>16} | {'max resp':>9} | {'p99':>9} | {'mean':>9}")
-    print("-" * 54)
-    for graph in sorted(result["worst_response"]):
-        print(
-            f"{graph:>16} | {result['worst_response'][graph]:9.2f} | "
-            f"{result['p99_response'][graph]:9.2f} | "
-            f"{result['mean_response'][graph]:9.2f}"
-        )
-    print(
-        f"\nprofiles: {result['profiles']}, "
-        f"critical runs: {result['critical_runs']}, "
-        f"runs with drops: {result['runs_with_drops']}"
+    request = _request_from_args(
+        api.SimulateRequest, args, _submit_system(args.system)
     )
-    return 0
+    return _print_simulation(_submit_client(args).simulate(
+        request.system, **request.options(), deadline_seconds=args.deadline
+    ))
 
 
 def _cmd_submit_explore(args) -> int:
@@ -728,29 +725,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("system", help="system JSON (applications+architecture+mapping)")
     analyze.add_argument("--plan", help="hardening plan JSON")
-    analyze.add_argument("--dropped", help="comma-separated dropped applications")
-    analyze.add_argument(
-        "--method", choices=("proposed", "naive", "adhoc"), default="proposed"
-    )
-    analyze.add_argument("--granularity", choices=("job", "task"), default="job")
-    analyze.add_argument(
-        "--policy", choices=("fp", "edf"), default="fp",
-        help="per-processor scheduling policy",
-    )
-    analyze.add_argument(
-        "--bus-contention", action="store_true",
-        help="legacy spelling of --comm-backend message-jobs",
-    )
-    analyze.add_argument(
-        "--backend", choices=("window", "fast", "holistic"), default="window",
-        help="schedulability back-end for the proposed analysis",
-    )
+    _add_request_flags(analyze, api.AnalyzeRequest)
     analyze.add_argument(
         "--no-fast-path", action="store_true",
         help="disable sched() memoization and warm-started fixed points "
         "(results are identical either way)",
     )
-    _add_comm_flags(analyze)
     analyze.set_defaults(handler=_cmd_analyze)
 
     simulate = sub.add_parser(
@@ -758,16 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("system")
     simulate.add_argument("--plan", help="hardening plan JSON")
-    simulate.add_argument("--dropped", help="comma-separated dropped applications")
-    simulate.add_argument("--profiles", type=int, default=500)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--max-faults", type=int, default=3)
-    simulate.add_argument("--worst-bias", type=float, default=0.5)
-    simulate.add_argument(
-        "--policy", choices=("fp", "edf"), default="fp",
-        help="per-processor scheduling policy",
-    )
-    _add_comm_flags(simulate)
+    _add_request_flags(simulate, api.SimulateRequest)
     simulate.set_defaults(handler=_cmd_simulate)
 
     explore = sub.add_parser(
@@ -779,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--seed", type=int, default=0)
     explore.add_argument("--out", help="write Pareto designs to this JSON file")
     explore.add_argument(
-        "--backend", choices=("fast", "window", "holistic"), default="fast",
+        "--backend", choices=SCHED_BACKENDS, default="fast",
         help="schedulability back-end driving the evaluator",
     )
     explore.add_argument(
@@ -824,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive members each island donates per exchange",
     )
     explore.add_argument(
-        "--topology", choices=("ring", "all", "none"), default="ring",
+        "--topology", choices=TOPOLOGY_KINDS, default="ring",
         help="island migration topology",
     )
     explore.add_argument(
@@ -849,9 +820,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--budget", type=int, default=200,
                         help="fault-injection scenarios to run")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--granularity", choices=("job", "task"), default="job")
     verify.add_argument(
-        "--policy", choices=("fp", "edf"), default="fp",
+        "--granularity", choices=TRIGGER_GRANULARITIES, default="job"
+    )
+    verify.add_argument(
+        "--policy", choices=SCHED_POLICIES, default="fp",
         help="per-processor scheduling policy",
     )
     verify.add_argument("--max-faults", type=int, default=3,
@@ -868,7 +841,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="write the report JSON to this file")
     verify.add_argument("--no-shrink", action="store_true",
                         help="skip counterexample minimization")
-    _add_comm_flags(verify)
+    _add_request_flags(
+        verify, api.AnalyzeRequest,
+        ("comm_backend", "comm_arq", "comm_arq_timeout"),
+    )
     verify.add_argument("--no-metamorphic", action="store_true",
                         help="skip the metamorphic mutation properties")
     verify.set_defaults(handler=_cmd_verify)
@@ -1091,16 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="served WCRT analysis", parents=obs
     )
     s_analyze.add_argument("system", help="system JSON path or suite name")
-    s_analyze.add_argument("--dropped", help="comma-separated dropped applications")
-    s_analyze.add_argument(
-        "--method", choices=("proposed", "naive", "adhoc"), default="proposed"
-    )
-    s_analyze.add_argument("--granularity", choices=("job", "task"), default="job")
-    s_analyze.add_argument("--policy", choices=("fp", "edf"), default="fp")
-    s_analyze.add_argument("--bus-contention", action="store_true")
-    s_analyze.add_argument(
-        "--backend", choices=("window", "fast", "holistic"), default="window"
-    )
+    _add_request_flags(s_analyze, api.AnalyzeRequest)
     s_analyze.add_argument(
         "--deadline", type=float, default=None,
         help="server-side deadline in seconds (504 when exceeded queued)",
@@ -1112,12 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="served Monte-Carlo campaign", parents=obs
     )
     s_simulate.add_argument("system", help="system JSON path or suite name")
-    s_simulate.add_argument("--dropped", help="comma-separated dropped applications")
-    s_simulate.add_argument("--profiles", type=int, default=500)
-    s_simulate.add_argument("--seed", type=int, default=0)
-    s_simulate.add_argument("--max-faults", type=int, default=3)
-    s_simulate.add_argument("--worst-bias", type=float, default=0.5)
-    s_simulate.add_argument("--policy", choices=("fp", "edf"), default="fp")
+    _add_request_flags(s_simulate, api.SimulateRequest)
     s_simulate.add_argument(
         "--deadline", type=float, default=None,
         help="overall request budget in seconds (propagated as "
@@ -1139,10 +1101,10 @@ def build_parser() -> argparse.ArgumentParser:
     s_explore.add_argument("--migration-every", type=int, default=10)
     s_explore.add_argument("--migrants", type=int, default=2)
     s_explore.add_argument(
-        "--topology", choices=("ring", "all", "none"), default="ring"
+        "--topology", choices=TOPOLOGY_KINDS, default="ring"
     )
     s_explore.add_argument(
-        "--backend", choices=("fast", "window", "holistic"), default="fast"
+        "--backend", choices=SCHED_BACKENDS, default="fast"
     )
     s_explore.add_argument(
         "--deadline", type=float, default=None,

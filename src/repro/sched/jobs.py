@@ -31,6 +31,9 @@ JobId = Tuple[str, int]
 #: ``message-jobs`` comm backend (see :func:`unroll`).
 BUS_RESOURCE = "__bus__"
 
+#: Per-processor scheduling policies: fixed priority and EDF.
+SCHED_POLICIES = ("fp", "edf")
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -448,7 +451,7 @@ def unroll(
         absolute deadline *is* preemptive EDF — both the analysis and the
         simulator follow the resulting job priorities.
     """
-    if policy not in ("fp", "edf"):
+    if policy not in SCHED_POLICIES:
         raise AnalysisError(f"policy must be 'fp' or 'edf', got {policy!r}")
     mapping.validate(applications, architecture)
     if comm is None:

@@ -48,10 +48,12 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
+from repro.api import AnalyzeRequest, SimulateRequest, analyze, simulate
 from repro.errors import ReproError
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
@@ -74,13 +76,13 @@ from repro.serve.admission import (
 from repro.serve.batcher import Batcher
 from repro.serve.encoding import (
     analysis_result_to_dict,
+    bundle_from_payload,
     canonical_bytes,
     montecarlo_result_to_dict,
-    parse_analyze_request,
+    parse_deadline,
     parse_explore_request,
     parse_shard_request,
-    parse_simulate_request,
-    request_digest,
+    request_key,
 )
 from repro.serve.jobs import JobStore
 from repro.serve.pool import DeadlineExceeded, PoolSaturated, WorkerPool
@@ -163,20 +165,7 @@ class ServeConfig:
         self.aging_seconds = aging_seconds
 
 
-def _run_in_context(ctx, fn: Callable[[Dict[str, Any]], bytes], params) -> bytes:
-    """Run one request body under the submitting request's trace context.
-
-    The computation executes on a pool worker thread; ``ctx`` was
-    captured on the request thread, so activating it here re-roots the
-    worker and the ``api.*`` spans join the request's trace.  Deduped
-    waiters attach to the first submitter's entry, so shared work is
-    attributed to the trace that actually ran it.
-    """
-    with activate(ctx):
-        return fn(params)
-
-
-def _run_analyze(params: Dict[str, Any]) -> bytes:
+def _run_analyze(request: AnalyzeRequest) -> bytes:
     """Execute one analyze request; returns the canonical response body.
 
     Runs through :func:`repro.api.analyze` with the *shared* fast path:
@@ -185,22 +174,19 @@ def _run_analyze(params: Dict[str, Any]) -> bytes:
     ``repro.api.analyze`` (the PR-3 equality guarantee) while repeated
     ``sched()`` runs are amortized across the whole process.
     """
-    from repro.api import analyze
     from repro.core.fastpath import FastPathConfig
-    from repro.serve.encoding import analyze_options, bundle_from_payload
 
-    bundle = bundle_from_payload(params["system"])
     result = analyze(
-        bundle,
-        **analyze_options(params),
+        bundle_from_payload(request.system),
+        **request.options(),
         fast_path=(
-            FastPathConfig.shared() if params["method"] == "proposed" else None
+            FastPathConfig.shared() if request.method == "proposed" else None
         ),
     )
     return canonical_bytes(analysis_result_to_dict(result))
 
 
-def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
+def _run_analyze_degraded(request: AnalyzeRequest) -> bytes:
     """Brownout fallback: bounded fast-window analysis, honestly marked.
 
     Forces ``backend="fast"`` (the bounded fast-window heuristic the
@@ -210,34 +196,26 @@ def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
     and is keyed under a *separate* dedup digest, so degraded bytes can
     never be replayed to a client that was promised full service.
     """
-    from repro.api import analyze
-    from repro.serve.encoding import analyze_options, bundle_from_payload
-
-    bundle = bundle_from_payload(params["system"])
-    options = analyze_options(params)
-    options.update(method="proposed", backend="fast")
-    result = analyze(bundle, **options, fast_path=None)
+    degraded = replace(request, method="proposed", backend="fast")
+    result = analyze(bundle_from_payload(request.system), **degraded.options())
     payload = analysis_result_to_dict(result)
     payload["degraded"] = True
     return canonical_bytes(payload)
 
 
-def _run_simulate(params: Dict[str, Any]) -> bytes:
+def _run_simulate(request: SimulateRequest) -> bytes:
     """Execute one simulate request; returns the canonical response body."""
-    from repro.api import simulate
-    from repro.serve.encoding import bundle_from_payload
-
-    bundle = bundle_from_payload(params["system"])
-    result = simulate(
-        bundle,
-        profiles=params["profiles"],
-        seed=params["seed"],
-        dropped=tuple(params["dropped"]),
-        policy=params["policy"],
-        max_faults=params["max_faults"],
-        worst_bias=params["worst_bias"],
-    )
+    result = simulate(bundle_from_payload(request.system), **request.options())
     return canonical_bytes(montecarlo_result_to_dict(result))
+
+
+#: The worker body of each synchronous operation (brownout degrades
+#: only analyze).
+_RUNNERS = {
+    "analyze": _run_analyze,
+    "analyze-degraded": _run_analyze_degraded,
+    "simulate": _run_simulate,
+}
 
 
 class ReproServer:
@@ -537,51 +515,49 @@ class ReproServer:
         payload: Dict[str, Any],
         admission: Optional[AdmissionContext] = None,
     ) -> Tuple[int, bytes]:
-        self._shed_if_draining()
-        actx = self._admit("analyze", payload, admission)
-        params = parse_analyze_request(
-            payload, allow_paths=self.config.allow_local_paths
-        )
-        deadline = actx.merged_deadline(params["deadline_seconds"])
-        if actx.decision.degraded:
-            # Degraded bytes live under their own digest: they must
-            # never be replayed to a request admitted at full service.
-            key = request_digest("analyze-degraded", params)
-            run = _run_analyze_degraded
-        else:
-            key = request_digest("analyze", params)
-            run = _run_analyze
-        ctx = capture_context()
-        entry = self.batcher.submit(
-            key,
-            lambda: _run_in_context(ctx, run, params),
-            deadline_seconds=deadline,
-            priority=actx.decision.priority,
-        )
-        body = entry.result(deadline or DEFAULT_WAIT_SECONDS)
-        return 200, body
+        return self._compute(AnalyzeRequest, payload, admission)
 
     def handle_simulate(
         self,
         payload: Dict[str, Any],
         admission: Optional[AdmissionContext] = None,
     ) -> Tuple[int, bytes]:
+        return self._compute(SimulateRequest, payload, admission)
+
+    def _compute(self, request_type, payload, admission) -> Tuple[int, bytes]:
+        """One synchronous analyze/simulate request, batched under its
+        dedup key.
+
+        The work runs on a pool worker thread under the trace context
+        captured here, so its ``api.*`` spans join the request's trace;
+        deduped waiters attach to the first submitter's entry, so shared
+        work is attributed to the trace that actually ran it.
+        """
         self._shed_if_draining()
-        actx = self._admit("simulate", payload, admission)
-        params = parse_simulate_request(
+        actx = self._admit(request_type.operation, payload, admission)
+        request = request_type.from_payload(
             payload, allow_paths=self.config.allow_local_paths
         )
-        deadline = actx.merged_deadline(params["deadline_seconds"])
-        key = request_digest("simulate", params)
+        deadline = actx.merged_deadline(parse_deadline(payload))
+        operation = request.operation
+        if actx.decision.degraded:
+            # Degraded bytes live under their own digest: they must
+            # never be replayed to a request admitted at full service.
+            operation += "-degraded"
+        run = _RUNNERS[operation]
         ctx = capture_context()
+
+        def work() -> bytes:
+            with activate(ctx):
+                return run(request)
+
         entry = self.batcher.submit(
-            key,
-            lambda: _run_in_context(ctx, _run_simulate, params),
+            request_key(request, operation),
+            work,
             deadline_seconds=deadline,
             priority=actx.decision.priority,
         )
-        body = entry.result(deadline or DEFAULT_WAIT_SECONDS)
-        return 200, body
+        return 200, entry.result(deadline or DEFAULT_WAIT_SECONDS)
 
     def handle_explore(
         self,

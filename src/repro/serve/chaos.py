@@ -229,11 +229,11 @@ class ChaosReport:
 def expected_bodies(workload: List[Dict[str, Any]]) -> List[bytes]:
     """Canonical response bytes for each workload item, computed
     directly (no server): the byte-identity oracle."""
+    from repro.api import AnalyzeRequest
     from repro.serve.app import _run_analyze
-    from repro.serve.encoding import parse_analyze_request
 
     return [
-        _run_analyze(parse_analyze_request(dict(item)))
+        _run_analyze(AnalyzeRequest.from_payload(dict(item)))
         for item in workload
     ]
 

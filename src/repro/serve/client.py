@@ -392,23 +392,30 @@ class ServeClient:
 
     # -- endpoints -------------------------------------------------------
 
-    def analyze_raw(self, system: SystemSpec, **params) -> bytes:
-        """``POST /v1/analyze``, returning the raw response bytes.
+    def _post(self, path: str, system: SystemSpec, params) -> bytes:
+        """POST ``{"system": ..., **params}``; the raw response bytes.
 
-        The raw form exists so byte-identity (dedup, facade equality) can
-        be asserted without a decode/re-encode round trip.  Reserved
-        kwargs: ``request_timeout`` overrides the client timeout for
-        this request only; ``deadline_seconds`` is the overall budget
+        Reserved kwargs: ``request_timeout`` overrides the client timeout
+        for this request only; ``deadline_seconds`` is the overall budget
         across retries, shipped per attempt as ``X-Repro-Deadline`` (a
         header, so it never splits the server's dedup digest).
-        Everything else goes into the request body.
         """
         timeout = params.pop("request_timeout", None)
         deadline = params.pop("deadline_seconds", None)
         payload = {"system": _system_payload(system), **params}
         return self._request(
-            "POST", "/v1/analyze", payload, timeout, deadline_seconds=deadline
+            "POST", path, payload, timeout, deadline_seconds=deadline
         )
+
+    def analyze_raw(self, system: SystemSpec, **params) -> bytes:
+        """``POST /v1/analyze``, returning the raw response bytes.
+
+        The raw form exists so byte-identity (dedup, facade equality) can
+        be asserted without a decode/re-encode round trip.  ``params`` are
+        the body fields (e.g. ``AnalyzeRequest.options()``) plus the
+        reserved kwargs of :meth:`_post`.
+        """
+        return self._post("/v1/analyze", system, params)
 
     def analyze(self, system: SystemSpec, **params) -> Dict[str, Any]:
         """``POST /v1/analyze`` decoded to a dict."""
@@ -416,12 +423,7 @@ class ServeClient:
 
     def simulate_raw(self, system: SystemSpec, **params) -> bytes:
         """``POST /v1/simulate``, returning the raw response bytes."""
-        timeout = params.pop("request_timeout", None)
-        deadline = params.pop("deadline_seconds", None)
-        payload = {"system": _system_payload(system), **params}
-        return self._request(
-            "POST", "/v1/simulate", payload, timeout, deadline_seconds=deadline
-        )
+        return self._post("/v1/simulate", system, params)
 
     def simulate(self, system: SystemSpec, **params) -> Dict[str, Any]:
         """``POST /v1/simulate`` decoded to a dict."""
@@ -434,13 +436,8 @@ class ServeClient:
         supply one, so retried submissions (explicit or via the retry
         policy) always coalesce onto one server-side job.
         """
-        timeout = params.pop("request_timeout", None)
-        deadline = params.pop("deadline_seconds", None)
         params.setdefault("idempotency_key", f"ck-{uuid.uuid4().hex}")
-        payload = {"system": _system_payload(system), **params}
-        return self._request_json(
-            "POST", "/v1/explore", payload, timeout, deadline_seconds=deadline
-        )
+        return json.loads(self._post("/v1/explore", system, params))
 
     def shard(self, system: SystemSpec, **params) -> Dict[str, Any]:
         """``POST /v1/shard``; returns the 202 job stub.
@@ -452,13 +449,8 @@ class ServeClient:
         client crash coalesces onto the original job; a random key is
         generated only when the caller set none.
         """
-        timeout = params.pop("request_timeout", None)
-        deadline = params.pop("deadline_seconds", None)
         params.setdefault("idempotency_key", f"ck-{uuid.uuid4().hex}")
-        payload = {"system": _system_payload(system), **params}
-        return self._request_json(
-            "POST", "/v1/shard", payload, timeout, deadline_seconds=deadline
-        )
+        return json.loads(self._post("/v1/shard", system, params))
 
     def job(self, job_id: str) -> Dict[str, Any]:
         """``GET /v1/jobs/<id>``."""

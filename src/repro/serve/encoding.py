@@ -14,9 +14,10 @@ Two properties drive this module:
   computation completely, which is what the batcher dedups on.
 """
 
+import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.analysis import MCAnalysisResult, TransitionInfo
 from repro.core.problem import DesignPoint
@@ -47,8 +48,9 @@ __all__ = [
     "bundle_from_payload",
     "resolve_system",
     "canonical_system",
-    "parse_analyze_request",
-    "parse_simulate_request",
+    "parse_request",
+    "parse_deadline",
+    "request_key",
     "parse_explore_request",
     "parse_shard_request",
     "explore_request_from_params",
@@ -176,14 +178,6 @@ def canonical_system(
 # Request parsing
 # ---------------------------------------------------------------------------
 
-_ANALYZE_FIELDS = {
-    "system", "method", "backend", "granularity", "dropped", "policy",
-    "bus_contention", "deadline_seconds",
-}
-_SIMULATE_FIELDS = {
-    "system", "profiles", "seed", "dropped", "policy", "max_faults",
-    "worst_bias", "deadline_seconds",
-}
 _EXPLORE_FIELDS = {
     "system", "generations", "population", "offspring_size", "archive_size",
     "seed", "workers", "checkpoint_every", "eval_retries", "eval_budget",
@@ -248,13 +242,6 @@ def _float_field(payload, name, default):
     return float(value)
 
 
-def _bool_field(payload, name, default):
-    value = payload.get(name, default)
-    if not isinstance(value, bool):
-        raise ReproError(f"{name} must be a JSON boolean (true or false)")
-    return value
-
-
 def _choice_field(payload, name, default, choices):
     value = payload.get(name, default)
     if value is not None and value not in choices:
@@ -264,84 +251,60 @@ def _choice_field(payload, name, default, choices):
     return value
 
 
-def _dropped_field(payload) -> Tuple[str, ...]:
-    dropped = payload.get("dropped", ())
-    if isinstance(dropped, str):
-        dropped = [n.strip() for n in dropped.split(",")]
-    if not isinstance(dropped, (list, tuple)) or not all(
-        isinstance(n, str) for n in dropped
-    ):
-        raise ReproError("dropped must be a list of names or one comma string")
-    return tuple(n for n in dropped if n)
-
-
-def _deadline_field(payload) -> Optional[float]:
+def parse_deadline(payload: Dict[str, Any]) -> Optional[float]:
+    """The optional positive ``deadline_seconds`` of a request body."""
     deadline = _float_field(payload, "deadline_seconds", None)
     if deadline is not None and deadline <= 0:
         raise ReproError("deadline_seconds must be positive")
     return deadline
 
 
-def parse_analyze_request(
-    payload: Dict[str, Any], allow_paths: bool = False
-) -> Dict[str, Any]:
-    """Validate and normalize a ``/v1/analyze`` body.
+def parse_request(cls, payload: Any, allow_paths: bool = False):
+    """A ``/v1/analyze`` or ``/v1/simulate`` body as ``cls``
+    (:class:`~repro.api.AnalyzeRequest` or ``SimulateRequest``).
 
-    Returns a plain dict of canonical parameters (system inlined), ready
-    for :func:`request_digest` and for the worker to execute.
+    Accepts ``cls``'s fields, ``deadline_seconds`` (see
+    :func:`parse_deadline`) and, for analyze, the ``bus_contention``
+    alias; values reach the request's checks unconverted.  The system is
+    resolved once and stored inlined; the alias and the drop-set names are
+    checked against it, so an invalid request never reaches a worker.
     """
+    from repro.api import legacy_comm_backend, validate_dropped
+
     if not isinstance(payload, dict):
         raise ReproError("request body must be a JSON object")
-    _reject_unknown(payload, _ANALYZE_FIELDS, "/v1/analyze")
+    request_fields = dataclasses.fields(cls)[1:]  # ``system`` comes first
+    accepted = {"system", "deadline_seconds"}
+    accepted.update(f.name for f in request_fields)
+    if cls.bus_contention_alias:
+        accepted.add("bus_contention")
+    _reject_unknown(payload, accepted, f"/v1/{cls.operation}")
     _require_system(payload)
-    return {
-        "system": canonical_system(payload["system"], allow_paths=allow_paths),
-        "method": _choice_field(
-            payload, "method", "proposed", ("proposed", "naive", "adhoc")
-        ),
-        "backend": _choice_field(
-            payload, "backend", None, (None, "window", "fast", "holistic")
-        ),
-        "granularity": _choice_field(
-            payload, "granularity", "job", ("job", "task")
-        ),
-        "dropped": list(_dropped_field(payload)),
-        "policy": _choice_field(payload, "policy", "fp", ("fp", "edf")),
-        "bus_contention": _bool_field(payload, "bus_contention", False),
-        "deadline_seconds": _deadline_field(payload),
+    bus_contention = payload.get("bus_contention", False)
+    if not isinstance(bus_contention, bool):
+        raise ReproError(
+            "bus_contention must be a JSON boolean (true or false)"
+        )
+    options = {
+        f.name: payload[f.name] for f in request_fields if f.name in payload
     }
+    bundle = resolve_system(payload["system"], allow_paths=allow_paths)
+    options["comm_backend"] = legacy_comm_backend(
+        bundle, options.get("comm_backend"), bus_contention
+    )
+    request = cls(system=bundle_to_payload(bundle), **options)
+    validate_dropped(bundle.applications, request.dropped)
+    return request
 
 
-def analyze_options(params: Dict[str, Any]) -> Dict[str, Any]:
-    """:func:`repro.api.analyze` keywords of parsed ``/v1/analyze`` params."""
-    return {
-        name: value
-        for name, value in params.items()
-        if name not in ("system", "deadline_seconds")
-    }
-
-
-def parse_simulate_request(
-    payload: Dict[str, Any], allow_paths: bool = False
-) -> Dict[str, Any]:
-    """Validate and normalize a ``/v1/simulate`` body."""
-    if not isinstance(payload, dict):
-        raise ReproError("request body must be a JSON object")
-    _reject_unknown(payload, _SIMULATE_FIELDS, "/v1/simulate")
-    _require_system(payload)
-    worst_bias = _float_field(payload, "worst_bias", 0.5)
-    if not 0.0 <= worst_bias <= 1.0:
-        raise ReproError("worst_bias must lie in [0, 1]")
-    return {
-        "system": canonical_system(payload["system"], allow_paths=allow_paths),
-        "profiles": _int_field(payload, "profiles", 500, 1),
-        "seed": _int_field(payload, "seed", 0, 0),
-        "dropped": list(_dropped_field(payload)),
-        "policy": _choice_field(payload, "policy", "fp", ("fp", "edf")),
-        "max_faults": _int_field(payload, "max_faults", 3, 0),
-        "worst_bias": worst_bias,
-        "deadline_seconds": _deadline_field(payload),
-    }
+def request_key(request, operation: Optional[str] = None) -> str:
+    """The dedup digest of an analyze/simulate request: its inlined system
+    plus :meth:`~repro.api.AnalyzeRequest.options`, under ``operation``
+    (default: the request's own)."""
+    return request_digest(
+        operation or request.operation,
+        {"system": request.system, **request.options()},
+    )
 
 
 def parse_explore_request(
@@ -395,7 +358,7 @@ def parse_explore_request(
         "backend": _choice_field(
             payload, "backend", "fast", (None, "window", "fast", "holistic")
         ) or "fast",
-        "deadline_seconds": _deadline_field(payload),
+        "deadline_seconds": parse_deadline(payload),
         "idempotency_key": _idempotency_key_field(payload),
     }
 

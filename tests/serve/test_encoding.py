@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import load
+from repro.api import AnalyzeRequest, SimulateRequest, load
 from repro.errors import ReproError
 from repro.serve.encoding import (
     bundle_from_payload,
@@ -12,11 +12,13 @@ from repro.serve.encoding import (
     canonical_bytes,
     canonical_json,
     canonical_system,
-    parse_analyze_request,
     parse_explore_request,
-    parse_simulate_request,
     request_digest,
+    request_key,
 )
+
+parse_analyze = AnalyzeRequest.from_payload
+parse_simulate = SimulateRequest.from_payload
 
 
 class TestCanonicalJson:
@@ -50,17 +52,75 @@ class TestRequestDigest:
 
     def test_suite_name_and_inline_payload_coalesce(self):
         inline = bundle_to_payload(load("cruise"))
-        by_name = parse_analyze_request({"system": "cruise"})
-        by_payload = parse_analyze_request({"system": inline})
-        assert request_digest("analyze", by_name) == request_digest(
-            "analyze", by_payload
-        )
+        by_name = parse_analyze({"system": "cruise"})
+        by_payload = parse_analyze({"system": inline})
+        assert request_key(by_name) == request_key(by_payload)
 
     def test_dropped_string_and_list_coalesce(self, bundle):
         payload = bundle_to_payload(bundle)
-        a = parse_analyze_request({"system": payload, "dropped": "lo"})
-        b = parse_analyze_request({"system": payload, "dropped": ["lo"]})
-        assert request_digest("analyze", a) == request_digest("analyze", b)
+        a = parse_analyze({"system": payload, "dropped": "lo"})
+        b = parse_analyze({"system": payload, "dropped": ["lo"]})
+        assert request_key(a) == request_key(b)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        (
+            ({}, {"backend": "window"}),
+            ({}, {"backend": None}),
+            ({"dropped": ["info", "log"]}, {"dropped": ["log", "info"]}),
+            ({"dropped": ["info", "info"]}, {"dropped": ["info"]}),
+            ({"dropped": "log, info"}, {"dropped": ["info", "log"]}),
+            ({}, {"comm_backend": None, "bus_contention": False}),
+        ),
+    )
+    def test_equivalent_analyze_spellings_coalesce(self, left, right):
+        a = parse_analyze({"system": "cruise", **left})
+        b = parse_analyze({"system": "cruise", **right})
+        assert a == b
+        assert request_key(a) == request_key(b)
+
+    def test_dropped_order_and_repeats_give_identical_bytes(self):
+        # The reason the canonical drop set may sort and de-duplicate:
+        # analysis and simulation reduce it to a frozenset.
+        from repro.api import analyze, simulate
+        from repro.serve.encoding import (
+            analysis_result_to_dict,
+            montecarlo_result_to_dict,
+        )
+
+        from repro.model.serialization import SystemBundle
+        from repro.suites.cruise import (
+            cruise_reference_plan,
+            cruise_sample_mappings,
+        )
+
+        cruise = load("cruise")
+        bundle = SystemBundle(
+            cruise.applications,
+            cruise.architecture,
+            cruise_sample_mappings()[1][0],
+            cruise_reference_plan(),
+        )
+        spellings = (("info", "log"), ("log", "info"), ("log", "info", "log"))
+        analyzed = {
+            canonical_bytes(analysis_result_to_dict(
+                analyze(bundle, backend="fast", dropped=d)
+            ))
+            for d in spellings
+        }
+        simulated = {
+            canonical_bytes(montecarlo_result_to_dict(
+                simulate(bundle, profiles=5, seed=2, dropped=d)
+            ))
+            for d in spellings
+        }
+        assert len(analyzed) == 1 and len(simulated) == 1
+
+    def test_deadline_is_not_part_of_the_digest(self, bundle):
+        payload = bundle_to_payload(bundle)
+        plain = parse_analyze({"system": payload})
+        timed = parse_analyze({"system": payload, "deadline_seconds": 5})
+        assert request_key(plain) == request_key(timed)
 
 
 class TestResolveSystemPaths:
@@ -124,22 +184,23 @@ class TestBundlePayload:
 
 class TestParseAnalyze:
     def test_defaults(self, bundle):
-        params = parse_analyze_request({"system": bundle_to_payload(bundle)})
-        assert params["method"] == "proposed"
-        assert params["granularity"] == "job"
-        assert params["policy"] == "fp"
-        assert params["dropped"] == []
-        assert params["deadline_seconds"] is None
+        request = parse_analyze({"system": bundle_to_payload(bundle)})
+        assert request.method == "proposed"
+        assert request.backend == "window"
+        assert request.granularity == "job"
+        assert request.policy == "fp"
+        assert request.dropped == ()
+        assert request.comm_backend is None
 
     def test_unknown_field_rejected(self, bundle):
         with pytest.raises(ReproError, match="unknown field"):
-            parse_analyze_request(
+            parse_analyze(
                 {"system": bundle_to_payload(bundle), "verbose": True}
             )
 
     def test_bad_method_rejected(self, bundle):
         with pytest.raises(ReproError, match="method"):
-            parse_analyze_request(
+            parse_analyze(
                 {"system": bundle_to_payload(bundle), "method": "bogus"}
             )
 
@@ -147,44 +208,117 @@ class TestParseAnalyze:
     def test_bus_contention_must_be_a_json_boolean(self, bundle, value):
         # bool("false") is True: strings must never switch contention on.
         with pytest.raises(ReproError, match="JSON boolean"):
-            parse_analyze_request(
+            parse_analyze(
                 {"system": bundle_to_payload(bundle), "bus_contention": value}
             )
 
     @pytest.mark.parametrize("value", (True, False))
     def test_bus_contention_booleans_pass_through(self, bundle, value):
-        params = parse_analyze_request(
+        # The alias is not a request field: it resolves to its backend.
+        request = parse_analyze(
             {"system": bundle_to_payload(bundle), "bus_contention": value}
         )
-        assert params["bus_contention"] is value
+        assert request.comm_backend == ("message-jobs" if value else None)
+
+    def test_bus_contention_conflict_rejected(self, bundle):
+        with pytest.raises(ReproError, match="message-jobs"):
+            parse_analyze(
+                {
+                    "system": bundle_to_payload(bundle),
+                    "bus_contention": True,
+                    "comm_backend": "tdma",
+                }
+            )
+
+    def test_comm_fields_accepted(self, bundle):
+        request = parse_analyze(
+            {
+                "system": bundle_to_payload(bundle),
+                "comm_backend": "noc-xy",
+                "comm_arq": 2,
+                "comm_arq_timeout": 1,
+            }
+        )
+        assert (
+            request.comm_backend, request.comm_arq, request.comm_arq_timeout
+        ) == ("noc-xy", 2, 1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        (
+            ("comm_backend", "token-ring"),
+            ("comm_arq", True),
+            ("comm_arq", 1.5),
+            ("comm_arq", -1),
+            ("comm_arq_timeout", "1"),
+            ("granularity", 3),
+            ("dropped", [1]),
+        ),
+    )
+    def test_bad_values_rejected(self, bundle, field, value):
+        with pytest.raises(ReproError, match=field):
+            parse_analyze({"system": bundle_to_payload(bundle), field: value})
+
+    def test_unknown_dropped_name_rejected(self, bundle):
+        with pytest.raises(ReproError, match="nosuch"):
+            parse_analyze(
+                {"system": bundle_to_payload(bundle), "dropped": ["nosuch"]}
+            )
 
     def test_system_required(self):
         with pytest.raises(ReproError, match="system"):
-            parse_analyze_request({"method": "proposed"})
+            parse_analyze({"method": "proposed"})
 
     def test_non_object_body_rejected(self):
         with pytest.raises(ReproError, match="JSON object"):
-            parse_analyze_request([1, 2])
+            parse_analyze([1, 2])
+
+    def test_options_are_the_wire_body(self, bundle):
+        request = parse_analyze(
+            {
+                "system": bundle_to_payload(bundle),
+                "dropped": "lo",
+                "granularity": "task",
+                "comm_backend": "tdma",
+            }
+        )
+        again = parse_analyze({"system": request.system, **request.options()})
+        assert again == request
 
 
 class TestParseSimulate:
     def test_defaults(self, bundle):
-        params = parse_simulate_request({"system": bundle_to_payload(bundle)})
-        assert params["profiles"] == 500
-        assert params["seed"] == 0
-        assert params["max_faults"] == 3
-        assert params["worst_bias"] == 0.5
+        request = parse_simulate({"system": bundle_to_payload(bundle)})
+        assert request.profiles == 500
+        assert request.seed == 0
+        assert request.max_faults == 3
+        assert request.worst_bias == 0.5
 
     def test_worst_bias_bounds(self, bundle):
         with pytest.raises(ReproError, match="worst_bias"):
-            parse_simulate_request(
+            parse_simulate(
                 {"system": bundle_to_payload(bundle), "worst_bias": 1.5}
             )
 
     def test_profiles_must_be_positive(self, bundle):
         with pytest.raises(ReproError, match="profiles"):
-            parse_simulate_request(
+            parse_simulate(
                 {"system": bundle_to_payload(bundle), "profiles": 0}
+            )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        (("profiles", True), ("seed", 1.5), ("max_faults", "2"),
+         ("worst_bias", "0.5"), ("worst_bias", None)),
+    )
+    def test_json_types_checked(self, bundle, field, value):
+        with pytest.raises(ReproError, match=field):
+            parse_simulate({"system": bundle_to_payload(bundle), field: value})
+
+    def test_bus_contention_is_an_analyze_alias_only(self, bundle):
+        with pytest.raises(ReproError, match="unknown field"):
+            parse_simulate(
+                {"system": bundle_to_payload(bundle), "bus_contention": True}
             )
 
 

@@ -254,6 +254,35 @@ class TestErrorContract:
         )
         assert raw == direct
 
+    def test_comm_fields_reach_the_facade(self, client, bundle):
+        options = {"comm_backend": "tdma", "comm_arq": 1,
+                   "comm_arq_timeout": 0.5}
+        raw = client.analyze_raw(bundle, **options)
+        direct = canonical_bytes(
+            analysis_result_to_dict(analyze(bundle, **options))
+        )
+        assert raw == direct
+
+    @pytest.mark.parametrize(
+        "endpoint, payload",
+        (
+            ("analyze", {"dropped": ["nosuch"]}),
+            ("simulate", {"dropped": "lo,nosuch"}),
+            ("simulate", {"max_faults": 0}),
+        ),
+    )
+    def test_invalid_request_never_reaches_the_batcher(
+        self, server, client, bundle, monkeypatch, endpoint, payload
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("an invalid request reached the batcher")
+
+        monkeypatch.setattr(server.batcher, "submit", never)
+        call = client.analyze if endpoint == "analyze" else client.simulate
+        with pytest.raises(ServeError) as info:
+            call(bundle, **payload)
+        assert info.value.status == 400
+
     def test_unknown_field_400(self, client, bundle):
         with pytest.raises(ServeError) as info:
             client.analyze(bundle, verbosity=3)

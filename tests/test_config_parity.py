@@ -1,22 +1,38 @@
-"""Every front door builds the same ``ExploreRequest``.
+"""Every front door builds the same typed request.
 
-The API redesign's core claim: CLI flag vectors, HTTP payloads, and
-``api`` keyword calls all funnel through ``ExplorerConfig.from_options``
-into one typed request — so equivalent spellings are *provably* the same
-exploration (equal configs, equal canonical options, equal digests).
+CLI flag vectors, HTTP payloads, and ``api`` keyword calls all build one
+typed request per operation — :class:`~repro.dse.ExploreRequest`,
+:class:`~repro.api.AnalyzeRequest` and :class:`~repro.api.SimulateRequest`
+— so equivalent spellings are *provably* the same computation (equal
+requests, equal canonical options, equal digests).
 """
 
-import warnings
+import argparse
+import dataclasses
 
 import pytest
 
-from repro.cli import _explore_request_from_args, build_parser
+import repro.api as api
+from repro.api import AnalyzeRequest, SimulateRequest
+from repro.cli import (
+    _explore_request_from_args,
+    _request_from_args,
+    build_parser,
+    main,
+)
+from repro.comm import COMM_BACKENDS
+from repro.core.analysis import TRIGGER_GRANULARITIES
+from repro.core.factory import ANALYSIS_METHODS, SCHED_BACKENDS
 from repro.dse import ExploreRequest, ExplorerConfig, IslandTopology
+from repro.dse.request import TOPOLOGY_KINDS
 from repro.errors import ReproError
+from repro.sched.jobs import SCHED_POLICIES
 from repro.serve.encoding import (
+    canonical_system,
     explore_request_from_params,
     parse_explore_request,
     request_digest,
+    request_key,
 )
 
 
@@ -81,28 +97,6 @@ class TestFrontDoorParity:
         assert via_cli.config == via_http.config
         assert via_cli.topology == via_http.topology
         assert via_cli.backend == via_http.backend
-
-    def test_api_shim_warns_and_matches_request_path(self):
-        import repro.api as api
-
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
-            shimmed = api.explore(
-                "cruise", generations=2, population=8, seed=1
-            )
-        assert any(
-            issubclass(entry.category, DeprecationWarning) for entry in log
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the request path is clean
-            direct = api.explore(
-                ExploreRequest.from_options(
-                    "cruise", generations=2, population=8, seed=1
-                )
-            )
-        assert [
-            (p.power, p.service, p.dropped) for p in shimmed.pareto
-        ] == [(p.power, p.service, p.dropped) for p in direct.pareto]
 
 
 class TestCanonicalization:
@@ -202,3 +196,189 @@ class TestConstructionPath:
             IslandTopology(kind="mesh")
         with pytest.raises(ReproError):
             ExploreRequest.from_options("cruise", backend="bogus")
+
+
+# ---------------------------------------------------------------------------
+# analyze / simulate
+# ---------------------------------------------------------------------------
+
+ANALYZE_ARGV = [
+    "--method", "naive", "--backend", "fast", "--granularity", "task",
+    "--dropped", "log, info", "--policy", "edf", "--comm-backend", "tdma",
+    "--comm-arq", "2", "--comm-arq-timeout", "0.5",
+]
+ANALYZE_OPTIONS = {
+    "method": "naive", "backend": "fast", "granularity": "task",
+    "dropped": ["info", "log"], "policy": "edf", "comm_backend": "tdma",
+    "comm_arq": 2, "comm_arq_timeout": 0.5,
+}
+SIMULATE_ARGV = [
+    "--profiles", "40", "--seed", "7", "--max-faults", "2",
+    "--worst-bias", "0.25", "--dropped", "info,log,info", "--policy", "edf",
+    "--comm-backend", "noc-xy", "--comm-arq", "1",
+]
+SIMULATE_OPTIONS = {
+    "profiles": 40, "seed": 7, "max_faults": 2, "worst_bias": 0.25,
+    "dropped": ["log", "info"], "policy": "edf", "comm_backend": "noc-xy",
+    "comm_arq": 1,
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _canonical(request):
+    """``request`` with its system inlined, as the serve layer holds it."""
+    return dataclasses.replace(request, system=canonical_system("cruise"))
+
+
+def _via_argv(request_type, argv):
+    return _canonical(
+        _request_from_args(request_type, build_parser().parse_args(argv), "cruise")
+    )
+
+
+def _via_api(monkeypatch, call, **keywords):
+    """The request ``api.analyze``/``api.simulate`` builds for keywords."""
+    captured = []
+
+    def spy(request, plan, mapping):
+        captured.append(request)
+        raise _Captured
+
+    monkeypatch.setattr(api, "_prepare", spy)
+    with pytest.raises(_Captured):
+        call("cruise", **keywords)
+    return _canonical(captured[0])
+
+
+class TestAnalyzeSimulateParity:
+    @pytest.mark.parametrize(
+        "request_type, command, argv, options",
+        (
+            (AnalyzeRequest, "analyze", ANALYZE_ARGV, ANALYZE_OPTIONS),
+            (SimulateRequest, "simulate", SIMULATE_ARGV, SIMULATE_OPTIONS),
+        ),
+    )
+    def test_every_door_builds_one_request(
+        self, monkeypatch, request_type, command, argv, options
+    ):
+        local = _via_argv(request_type, [command, "cruise", *argv])
+        submitted = _via_argv(
+            request_type, ["submit", command, "cruise", *argv]
+        )
+        served = request_type.from_payload({"system": "cruise", **options})
+        call = api.analyze if command == "analyze" else api.simulate
+        keywords = dict(options, dropped=tuple(reversed(options["dropped"])))
+        direct = _via_api(monkeypatch, call, **keywords)
+        assert local == submitted == served == direct
+        assert len({request_key(r) for r in (local, submitted, served, direct)}) == 1
+
+    @pytest.mark.parametrize(
+        "request_type, command",
+        ((AnalyzeRequest, "analyze"), (SimulateRequest, "simulate")),
+    )
+    def test_defaults_agree(self, monkeypatch, request_type, command):
+        call = api.analyze if command == "analyze" else api.simulate
+        requests = (
+            _via_argv(request_type, [command, "cruise"]),
+            _via_argv(request_type, ["submit", command, "cruise"]),
+            request_type.from_payload({"system": "cruise"}),
+            _via_api(monkeypatch, call),
+        )
+        assert all(r == requests[0] for r in requests)
+
+    def test_bus_contention_digests_as_message_jobs(self, monkeypatch):
+        alias = AnalyzeRequest.from_payload(
+            {"system": "cruise", "bus_contention": True}
+        )
+        spelled = AnalyzeRequest.from_payload(
+            {"system": "cruise", "comm_backend": "message-jobs"}
+        )
+        assert alias == spelled
+        assert request_key(alias) == request_key(spelled)
+        assert _via_api(monkeypatch, api.analyze, bus_contention=True) == spelled
+
+    def test_options_round_trip_through_the_wire(self):
+        served = AnalyzeRequest.from_payload(
+            {"system": "cruise", **ANALYZE_OPTIONS}
+        )
+        assert served.options() == dict(
+            ANALYZE_OPTIONS, dropped=sorted(ANALYZE_OPTIONS["dropped"])
+        )
+        assert request_key(served) == request_digest(
+            "analyze", {"system": served.system, **served.options()}
+        )
+
+
+def _subparser(*names):
+    parser = build_parser()
+    for name in names:
+        action = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = action.choices[name]
+    return {a.dest: a.choices for a in parser._actions if a.choices}
+
+
+class TestChoicesComeFromRegistries:
+    REGISTRIES = {
+        "method": ANALYSIS_METHODS,
+        "backend": SCHED_BACKENDS,
+        "granularity": TRIGGER_GRANULARITIES,
+        "policy": SCHED_POLICIES,
+        "comm_backend": COMM_BACKENDS,
+        "topology": TOPOLOGY_KINDS,
+    }
+
+    @pytest.mark.parametrize(
+        "command",
+        (
+            ("analyze",), ("submit", "analyze"),
+            ("simulate",), ("submit", "simulate"),
+            ("explore",), ("submit", "explore"), ("verify",),
+        ),
+    )
+    def test_choices_equal_registry(self, command):
+        choices = _subparser(*command)
+        checked = set(choices) & set(self.REGISTRIES)
+        assert checked, command
+        for dest in checked:
+            assert tuple(choices[dest]) == self.REGISTRIES[dest], dest
+
+
+class TestSimulateRanges:
+    @pytest.mark.parametrize(
+        "field, value",
+        (("profiles", 0), ("seed", -1), ("max_faults", 0), ("worst_bias", 1.5),
+         ("worst_bias", -0.1)),
+    )
+    def test_every_door_rejects_the_same_values(
+        self, tmp_path, capsys, field, value
+    ):
+        from repro.model.serialization import save_system
+        from repro.suites.cruise import (
+            cruise_reference_plan,
+            cruise_sample_mappings,
+        )
+
+        cruise = api.load("cruise")
+        path = tmp_path / "cruise.json"
+        save_system(
+            path, cruise.applications, cruise.architecture,
+            mapping=cruise_sample_mappings()[1][0],
+            plan=cruise_reference_plan(),
+        )
+        flag = ["--" + field.replace("_", "-"), str(value)]
+        with pytest.raises(ReproError, match=field):
+            SimulateRequest.from_payload({"system": "cruise", field: value})
+        with pytest.raises(ReproError, match=field):
+            api.simulate(str(path), **{field: value})
+        for argv in (
+            ["simulate", str(path), *flag],
+            ["submit", "simulate", str(path), "--retries", "0", *flag],
+        ):
+            assert main(argv) == 2
+            assert field in capsys.readouterr().err
