@@ -44,6 +44,8 @@ that trigger.
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.fastpath import FastPathConfig, TransitionPruner
 from repro.errors import AnalysisError
 from repro.hardening.spec import HardeningKind
@@ -56,7 +58,7 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import annotate, span as trace_span
 from repro.comm import default_comm
 from repro.sched.comm import CommModel
-from repro.sched.jobs import JobId, JobSet, unroll
+from repro.sched.jobs import JobSet, unroll
 from repro.sched.priority import assign_priorities
 from repro.sched.wcrt import ScheduleBounds, SchedBackend, WindowAnalysisBackend
 
@@ -235,22 +237,44 @@ class MixedCriticalityAnalysis:
         graph_wcrt: Dict[str, float] = {}
         normal_wcrt: Dict[str, float] = {}
         worst_transition: Dict[str, Optional[str]] = {}
+        wcrts = normal.graph_wcrts()
         for graph in hardened.applications.graphs:
-            wcrt = normal.graph_wcrt(graph.name)
+            wcrt = wcrts[graph.name]
             graph_wcrt[graph.name] = wcrt
             normal_wcrt[graph.name] = wcrt
             worst_transition[graph.name] = None
 
+        finishes = normal.task_max_finishes()
         task_completion: Dict[str, float] = {
-            task.name: normal.task_max_finish(task.name)
+            task.name: finishes[task.name]
             for task in hardened.applications.all_tasks
         }
+        # Graphs and tasks whose bounds the transitions fold into.
+        surviving_graphs = [
+            graph.name
+            for graph in hardened.applications.graphs
+            if graph.name not in dropped_set
+        ]
+        surviving_tasks = [
+            task.name
+            for task in hardened.applications.all_tasks
+            if hardened.source.owner_of(
+                hardened.derived_to_primary[task.name]
+            ).name not in dropped_set
+        ]
 
+        table = TransitionTable(
+            hardened,
+            architecture,
+            mapping,
+            base,
+            normal,
+            dropped_set,
+            self._zero_dropped_bcet,
+        )
         fast = self._fast_path
         warm_seed = normal if fast is not None and fast.warm_start else None
-        pruner = (
-            TransitionPruner(base) if fast is not None and fast.prune else None
-        )
+        pruner = TransitionPruner() if fast is not None and fast.prune else None
         transitions_pruned = 0
         transitions: List[TransitionInfo] = []
         for trigger, instance, window in self._enumerate_transitions(
@@ -261,43 +285,27 @@ class MixedCriticalityAnalysis:
                 if instance is None
                 else f"{trigger.primary}@{instance}"
             )
-            overrides = self._transition_overrides(
-                hardened,
-                architecture,
-                mapping,
-                base,
-                normal,
-                trigger,
-                instance,
-                window,
-                dropped_set,
-            )
+            bcet, wcet = table.bounds(trigger, instance, window)
             if pruner is not None:
-                if pruner.is_dominated(overrides):
+                if pruner.is_dominated(bcet, wcet):
                     transitions_pruned += 1
                     continue
-                pruner.record(overrides)
+                pruner.record(bcet, wcet)
             with trace_span("analysis.transition", trigger=label):
-                bounds = self._sched(
-                    base.with_bounds(overrides), seed=warm_seed
-                )
+                bounds = self._sched(base.with_bounds(bcet, wcet), seed=warm_seed)
             transition_wcrt: Dict[str, float] = {}
-            for graph in hardened.applications.graphs:
-                if graph.name in dropped_set:
-                    continue
-                wcrt = bounds.graph_wcrt(graph.name)
-                transition_wcrt[graph.name] = wcrt
-                if wcrt > graph_wcrt[graph.name]:
-                    graph_wcrt[graph.name] = wcrt
-                    worst_transition[graph.name] = label
-            for task in hardened.applications.all_tasks:
-                if hardened.source.owner_of(
-                    hardened.derived_to_primary[task.name]
-                ).name in dropped_set:
-                    continue
-                finish = bounds.task_max_finish(task.name)
-                if finish > task_completion[task.name]:
-                    task_completion[task.name] = finish
+            wcrts = bounds.graph_wcrts()
+            for name in surviving_graphs:
+                wcrt = wcrts[name]
+                transition_wcrt[name] = wcrt
+                if wcrt > graph_wcrt[name]:
+                    graph_wcrt[name] = wcrt
+                    worst_transition[name] = label
+            finishes = bounds.task_max_finishes()
+            for name in surviving_tasks:
+                finish = finishes[name]
+                if finish > task_completion[name]:
+                    task_completion[name] = finish
             transitions.append(
                 TransitionInfo(
                     trigger_primary=trigger.primary,
@@ -420,11 +428,8 @@ class MixedCriticalityAnalysis:
                 max_finish = normal.task_max_finish(trigger.finish_anchor)
                 yield trigger, None, (min_start, max_finish)
             else:
-                instances = sorted(
-                    job.instance
-                    for job in base.analyzed_jobs_of_task(trigger.finish_anchor)
-                )
-                for instance in instances:
+                anchor_jobs = base.analyzed_indices_of_task(trigger.finish_anchor)
+                for instance in sorted(base.instance[anchor_jobs].tolist()):
                     min_start = min(
                         normal.job_bounds((anchor, instance)).min_start
                         for anchor in trigger.start_anchors
@@ -434,99 +439,123 @@ class MixedCriticalityAnalysis:
                     ).max_finish
                     yield trigger, instance, (min_start, max_finish)
 
-    def _transition_overrides(
+
+class TransitionTable:
+    """Algorithm 1's per-transition bounds (lines 12–30) as vector masks.
+
+    Everything that does not depend on the transition is built once per
+    analysis from the base job set and its normal-state schedule:
+
+    * the nominal ``bcet``/``wcet`` vectors and the normal windows
+      ``min_start``/``max_finish``;
+    * the analyzed, dropped-graph, time-redundant and passive masks;
+    * the *critical* bounds a job takes when the critical state may hit
+      it: ``(bcet, wcet * inflation)`` for time-redundant tasks (Eq. (1)
+      through :meth:`~repro.hardening.transform.HardenedSystem.critical_inflation`),
+      ``(0, activated wcet)`` for passive copies, nominal otherwise;
+    * the *affected* bounds: the critical ones, except ``(min(low,
+      wcet), wcet)`` for jobs of dropped graphs (``low`` is 0 with
+      ``zero_dropped_bcet``, the nominal bcet otherwise).
+
+    A transition with trigger window ``(minStart_v, maxFinish_v)`` then
+    gives every analyzed job with ``max_finish >= minStart_v`` its
+    affected bounds, zeroes the dropped-graph jobs among them with
+    ``min_start > maxFinish_v`` (certainly dropped), and gives the
+    trigger's own jobs their critical bounds.  Jobs that finish before
+    the earliest fault keep their nominal bounds.
+    """
+
+    def __init__(
         self,
         hardened: HardenedSystem,
         architecture: Architecture,
         mapping: Mapping,
         base: JobSet,
         normal: ScheduleBounds,
+        dropped: FrozenSet[str],
+        zero_dropped_bcet: bool,
+    ):
+        self._base = base
+        self._hardened = hardened
+        bcet = base.bcet
+        wcet = base.wcet
+        count = len(base)
+        inflation = np.ones(count)
+        passive = np.zeros(count, dtype=bool)
+        activated = np.zeros(count)
+        for name in hardened.time_redundancy:
+            indices = base.analyzed_indices_of_task(name)
+            inflation[indices] = hardened.critical_inflation(name)
+        for name in hardened.passive_tasks:
+            indices = base.analyzed_indices_of_task(name)
+            passive[indices] = True
+            activated[indices] = _activated_wcet(
+                hardened, architecture, mapping, name
+            )
+        in_dropped = np.zeros(count, dtype=bool)
+        for name in dropped:
+            in_dropped[base.analyzed_indices_of_graph(name)] = True
+
+        self._critical_bcet = np.where(passive, 0.0, bcet)
+        self._critical_wcet = np.where(passive, activated, wcet * inflation)
+        low = np.zeros(count) if zero_dropped_bcet else bcet
+        maybe_dropped_bcet = np.where(wcet < low, wcet, low)  # min(low, wcet)
+        self._affected_bcet = np.where(
+            in_dropped, maybe_dropped_bcet, self._critical_bcet
+        )
+        self._affected_wcet = np.where(in_dropped, wcet, self._critical_wcet)
+        self._in_dropped = in_dropped
+        self._analyzed = base.analyzed
+        self._min_start = normal.min_start_vector
+        self._max_finish = normal.max_finish_vector
+
+    def bounds(
+        self,
         trigger: CriticalTrigger,
         instance: Optional[int],
         window: Tuple[float, float],
-        dropped_set: FrozenSet[str],
-    ) -> Dict[JobId, Tuple[float, float]]:
-        """Bounds overrides of one outer-loop iteration (lines 12–30).
-
-        Building the override map separately from the ``sched()`` call
-        lets the fast path prune dominated transitions before paying for
-        the back-end run.
-        """
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(bcet, wcet)`` vectors of one transition."""
         min_start_v, max_finish_v = window
-        overrides: Dict[JobId, Tuple[float, float]] = {}
+        affected = self._analyzed & ~(self._max_finish < min_start_v)
+        bcet = np.where(affected, self._affected_bcet, self._base.bcet)
+        wcet = np.where(affected, self._affected_wcet, self._base.wcet)
+        gone = affected & self._in_dropped & (self._min_start > max_finish_v)
+        bcet[gone] = 0.0
+        wcet[gone] = 0.0
+        trigger_jobs = self._trigger_jobs(trigger, instance)
+        bcet[trigger_jobs] = self._critical_bcet[trigger_jobs]
+        wcet[trigger_jobs] = self._critical_wcet[trigger_jobs]
+        return bcet, wcet
 
-        trigger_jobs = self._trigger_overrides(
-            hardened, architecture, mapping, base, trigger, instance, overrides
-        )
-
-        for job in base.analyzed_jobs:
-            if job.job_id in trigger_jobs:
-                continue
-            job_bounds = normal.bounds_at(job.index)
-            if job_bounds.max_finish < min_start_v:
-                # Normal state: keep nominal bounds (lines 13–17; passive
-                # copies are already [0, 0] in the base job set).
-                continue
-            if job.graph_name in dropped_set:
-                if job_bounds.min_start > max_finish_v:
-                    overrides[job.job_id] = (0.0, 0.0)  # certainly dropped
-                else:  # transition mode: may run or be dropped
-                    low = 0.0 if self._zero_dropped_bcet else job.bcet
-                    overrides[job.job_id] = (min(low, job.wcet), job.wcet)
-            else:
-                task_name = job.task_name
-                if hardened.is_time_redundant(task_name):
-                    inflation = hardened.critical_inflation(task_name)
-                    overrides[job.job_id] = (job.bcet, job.wcet * inflation)
-                elif hardened.is_passive(task_name):
-                    overrides[job.job_id] = (
-                        0.0,
-                        self._activated_wcet(hardened, architecture, mapping, task_name),
-                    )
-        return overrides
-
-    def _trigger_overrides(
-        self,
-        hardened: HardenedSystem,
-        architecture: Architecture,
-        mapping: Mapping,
-        base: JobSet,
-        trigger: CriticalTrigger,
-        instance: Optional[int],
-        overrides: Dict[JobId, Tuple[float, float]],
-    ) -> FrozenSet[JobId]:
-        """Apply the triggering task's critical bounds; return its job ids."""
-        handled: List[JobId] = []
+    def _trigger_jobs(
+        self, trigger: CriticalTrigger, instance: Optional[int]
+    ) -> np.ndarray:
+        """Analyzed jobs taking the trigger's critical bounds."""
+        base = self._base
         if trigger.kind is not HardeningKind.PASSIVE:  # time-redundant trigger
-            inflation = hardened.critical_inflation(trigger.primary)
-            for job in base.analyzed_jobs_of_task(trigger.primary):
-                if instance is not None and job.instance != instance:
-                    continue
-                overrides[job.job_id] = (job.bcet, job.wcet * inflation)
-                handled.append(job.job_id)
+            names = (trigger.primary,)
         else:  # passive replication: the requested copies become live
-            group = hardened.replica_groups[trigger.primary]
-            for name in group:
-                if name not in hardened.passive_tasks:
-                    continue
-                for job in base.analyzed_jobs_of_task(name):
-                    if instance is not None and job.instance != instance:
-                        continue
-                    overrides[job.job_id] = (
-                        0.0,
-                        self._activated_wcet(hardened, architecture, mapping, name),
-                    )
-                    handled.append(job.job_id)
-        return frozenset(handled)
+            names = tuple(
+                name
+                for name in self._hardened.replica_groups[trigger.primary]
+                if self._hardened.is_passive(name)
+            )
+        indices = np.concatenate(
+            [base.analyzed_indices_of_task(name) for name in names]
+        )
+        if instance is not None:
+            indices = indices[base.instance[indices] == instance]
+        return indices
 
-    def _activated_wcet(
-        self,
-        hardened: HardenedSystem,
-        architecture: Architecture,
-        mapping: Mapping,
-        task_name: str,
-    ) -> float:
-        """Processor-scaled WCET of a passive copy when it is requested."""
-        task = hardened.applications.task(task_name)
-        processor = architecture.processor(mapping[task_name])
-        return processor.scale_time(task.wcet)
+
+def _activated_wcet(
+    hardened: HardenedSystem,
+    architecture: Architecture,
+    mapping: Mapping,
+    task_name: str,
+) -> float:
+    """Processor-scaled WCET of a passive copy when it is requested."""
+    task = hardened.applications.task(task_name)
+    processor = architecture.processor(mapping[task_name])
+    return processor.scale_time(task.wcet)

@@ -21,11 +21,12 @@ most of that work redundant:
    :class:`~repro.sched.holistic.HolisticAnalysisBackend` owns the
    soundness check; this module only threads the seed through.
 
-3. **Pruning** — a transition whose per-job override intervals are all
-   *contained* in those of an already-analyzed transition cannot yield a
-   larger WCRT under any back-end that is monotone in (wcet up, bcet
-   down) — which both the window and holistic back-ends are.  Skipping it
-   changes no reported bound, verdict, or worst-transition label.
+3. **Pruning** — a transition whose per-job ``[bcet, wcet]`` intervals
+   are all *contained* in those of an already-analyzed transition cannot
+   yield a larger WCRT under any back-end that is monotone in (wcet up,
+   bcet down) — which both the window and holistic back-ends are.
+   Skipping it changes no reported bound, verdict, or worst-transition
+   label.
 
 All three are **opt-in**: :class:`MixedCriticalityAnalysis` takes
 ``fast_path=None`` by default and behaves exactly as before.  The DSE
@@ -34,10 +35,12 @@ evaluator opts in via :meth:`FastPathConfig.for_dse`.
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import AnalysisError
-from repro.sched.jobs import JobId, JobSet
+from repro.sched.jobs import JobSet
 from repro.sched.wcrt import ScheduleBounds
 
 __all__ = [
@@ -130,40 +133,30 @@ class TransitionPruner:
     """Skips transitions dominated by an already-analyzed one.
 
     Transition *B* is dominated by analyzed transition *A* when, for
-    every first-hyperperiod job, *A*'s effective ``[bcet, wcet]``
-    interval contains *B*'s (override if present, nominal base bounds
-    otherwise).  For a back-end monotone in (wcet up, bcet down), *A*'s
-    per-job ``max_finish`` then dominates *B*'s pointwise, so *B* can
-    never raise a graph WCRT, a task-completion bound, or become a
-    worst-transition label after *A* has been folded in.  Domination is
-    only checked against transitions analyzed *earlier in the same run*,
-    which preserves the fold order of Algorithm 1's outer loop exactly.
+    every job, *A*'s ``[bcet, wcet]`` interval contains *B*'s:
+    ``all(a_bcet <= b_bcet) and all(a_wcet >= b_wcet)`` over the two
+    transitions' bounds vectors.  For a back-end monotone in (wcet up,
+    bcet down), *A*'s per-job ``max_finish`` then dominates *B*'s
+    pointwise, so *B* can never raise a graph WCRT, a task-completion
+    bound, or become a worst-transition label after *A* has been folded
+    in.  Domination is only checked against transitions analyzed
+    *earlier in the same run*, which preserves the fold order of
+    Algorithm 1's outer loop exactly.
     """
 
-    def __init__(self, base: JobSet):
-        self._nominal: Dict[JobId, Tuple[float, float]] = {
-            job.job_id: (job.bcet, job.wcet) for job in base.analyzed_jobs
-        }
-        self._analyzed: List[Dict[JobId, Tuple[float, float]]] = []
+    def __init__(self):
+        self._analyzed: List[Tuple[np.ndarray, np.ndarray]] = []
 
-    def is_dominated(self, overrides: Dict[JobId, Tuple[float, float]]) -> bool:
-        """Whether an analyzed transition's intervals cover ``overrides``."""
-        nominal = self._nominal
-        for accepted in self._analyzed:
-            dominated = True
-            for job_id in accepted.keys() | overrides.keys():
-                a_lo, a_hi = accepted.get(job_id) or nominal[job_id]
-                b_lo, b_hi = overrides.get(job_id) or nominal[job_id]
-                if a_lo > b_lo or a_hi < b_hi:
-                    dominated = False
-                    break
-            if dominated:
-                return True
-        return False
+    def is_dominated(self, bcet: np.ndarray, wcet: np.ndarray) -> bool:
+        """Whether an analyzed transition's intervals cover ``(bcet, wcet)``."""
+        return any(
+            (a_bcet <= bcet).all() and (a_wcet >= wcet).all()
+            for a_bcet, a_wcet in self._analyzed
+        )
 
-    def record(self, overrides: Dict[JobId, Tuple[float, float]]) -> None:
+    def record(self, bcet: np.ndarray, wcet: np.ndarray) -> None:
         """Register an analyzed transition as a future dominator."""
-        self._analyzed.append(dict(overrides))
+        self._analyzed.append((np.array(bcet), np.array(wcet)))
 
 
 class FastPathConfig:

@@ -149,8 +149,8 @@ class HardeningSpec:
 
     @staticmethod
     def none() -> "HardeningSpec":
-        """No hardening."""
-        return HardeningSpec()
+        """No hardening (one shared instance; specs are immutable)."""
+        return _NONE
 
     @staticmethod
     def reexecution(k: int) -> "HardeningSpec":
@@ -198,6 +198,9 @@ class HardeningSpec:
             active_replicas=data.get("active_replicas"),
             checkpoints=data.get("checkpoints", 0),
         )
+
+
+_NONE = HardeningSpec()
 
 
 class HardeningPlan:

@@ -13,9 +13,11 @@ transition in the first hyperperiod.
 """
 
 import hashlib
-import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import AnalysisError
 from repro.model.application import ApplicationSet
@@ -78,8 +80,310 @@ class Job:
         return (self.task_name, self.instance)
 
 
+@dataclass(frozen=True, eq=False)
+class IndexArrays:
+    """A job set's precedence, priority and batch structure as flat arrays.
+
+    Built once per structure (see :meth:`JobSet.index_arrays`) and shared
+    by every :meth:`JobSet.with_bounds` clone; consumed by the vectorised
+    fixed point of :class:`repro.sched.fast.FastWindowAnalysisBackend`.
+    """
+
+    #: Job releases as Python floats.
+    release_values: Tuple[float, ...]
+    #: ``(pred index, best comm, worst comm, on_demand)`` per job.
+    preds: Tuple[Tuple[Tuple[int, float, float, bool], ...], ...]
+    #: Predecessor edges, one entry per (consumer, producer) pair.
+    pred_src: np.ndarray
+    pred_dst: np.ndarray
+    pred_comm_worst: np.ndarray
+    #: Interference pairs ``(victim, higher-priority interferer)``.
+    hp_victim: np.ndarray
+    hp_other: np.ndarray
+    #: Batch membership, external inputs and interferers, flattened.
+    batch_count: int
+    member_flat: np.ndarray
+    member_batch: np.ndarray
+    ext_src: np.ndarray
+    ext_comm: np.ndarray
+    ext_batch: np.ndarray
+    int_other: np.ndarray
+    int_batch: np.ndarray
+    batch_release: np.ndarray
+
+
+class _Structure:
+    """Everything about a job set except its execution-time bounds.
+
+    One instance is built per unrolled job set and shared by all of its
+    :meth:`JobSet.with_bounds` clones, so every table below — whether
+    built eagerly or on first use — is computed once per structure.
+    """
+
+    def __init__(
+        self,
+        jobs: Tuple[Job, ...],
+        hyperperiod: float,
+        hyperperiods: int,
+        applications: ApplicationSet,
+        mapping: Mapping,
+        topo_order: Tuple[int, ...],
+        comm_token: str,
+    ):
+        #: The jobs with the bounds the structure was built with.
+        self.jobs = jobs
+        self.hyperperiod = hyperperiod
+        self.hyperperiods = hyperperiods
+        self.applications = applications
+        self.mapping = mapping
+        self.topo_order = topo_order
+        self.comm_token = comm_token
+        self.by_id: Dict[JobId, int] = {job.job_id: job.index for job in jobs}
+        self.by_task: Dict[str, List[int]] = {}
+        for job in jobs:
+            self.by_task.setdefault(job.task_name, []).append(job.index)
+        # Same-processor, higher-priority job indices, precomputed for the
+        # interference iteration.
+        by_pe: Dict[str, List[int]] = {}
+        for job in jobs:
+            by_pe.setdefault(job.processor, []).append(job.index)
+        related = self._precedence_related()
+        self.higher_priority: List[Tuple[int, ...]] = [()] * len(jobs)
+        for indices in by_pe.values():
+            ranked = sorted(indices, key=lambda i: jobs[i].priority)
+            for position, job_index in enumerate(ranked):
+                self.higher_priority[job_index] = tuple(
+                    other
+                    for other in ranked[:position]
+                    if other not in related[job_index]
+                )
+
+    def _precedence_related(self) -> List[Set[int]]:
+        """Ancestors ∪ descendants of every job within its graph instance.
+
+        A job's ancestors always complete before it arrives and its
+        descendants cannot start before it completes, so neither can ever
+        be *pending* concurrently with it — they are soundly excluded
+        from the same-processor interference sets.
+        """
+        ancestors: List[Set[int]] = [set() for _ in self.jobs]
+        for job in self.jobs:  # construction order is topological per instance
+            mine = ancestors[job.index]
+            for pred_index, _best, _worst, _on_demand in job.preds:
+                mine.add(pred_index)
+                mine.update(ancestors[pred_index])
+        self.ancestors: List[Set[int]] = ancestors
+        related: List[Set[int]] = [set(a) for a in ancestors]
+        for job in self.jobs:
+            for ancestor in ancestors[job.index]:
+                related[ancestor].add(job.index)
+        return related
+
+    @cached_property
+    def analyzed(self) -> np.ndarray:
+        """Mask of the first-hyperperiod jobs."""
+        return _frozen([job.analyzed for job in self.jobs], bool)
+
+    @cached_property
+    def release(self) -> np.ndarray:
+        return _frozen([job.release for job in self.jobs])
+
+    @cached_property
+    def instance(self) -> np.ndarray:
+        return _frozen([job.instance for job in self.jobs], np.int64)
+
+    @cached_property
+    def analyzed_of_task(self) -> Dict[str, np.ndarray]:
+        """Ascending first-hyperperiod job indices per task."""
+        jobs = self.jobs
+        return {
+            name: _frozen([i for i in indices if jobs[i].analyzed], np.int64)
+            for name, indices in self.by_task.items()
+        }
+
+    @cached_property
+    def analyzed_of_graph(self) -> Dict[str, np.ndarray]:
+        """Ascending first-hyperperiod job indices per graph."""
+        grouped: Dict[str, List[int]] = {}
+        for job in self.jobs:
+            if job.analyzed:
+                grouped.setdefault(job.graph_name, []).append(job.index)
+        return {
+            name: _frozen(indices, np.int64) for name, indices in grouped.items()
+        }
+
+    @cached_property
+    def task_groups(self) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
+        return _groups(self.analyzed_of_task)
+
+    @cached_property
+    def graph_groups(self) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
+        return _groups(self.analyzed_of_graph)
+
+    @cached_property
+    def batches(self) -> Tuple[Batch, ...]:
+        groups: Dict[Tuple[str, int, str], List[int]] = {}
+        for job in self.jobs:
+            key = (job.graph_name, job.instance, job.processor)
+            groups.setdefault(key, []).append(job.index)
+        processor_code = {name: code for code, name in enumerate(sorted(
+            {job.processor for job in self.jobs}
+        ))}
+        pe_code = np.array(
+            [processor_code[job.processor] for job in self.jobs], dtype=np.int64
+        )
+        priority = np.array([job.priority for job in self.jobs], dtype=np.int64)
+        batches: List[Batch] = []
+        for key in sorted(groups):
+            # Split the group at re-entrant points: if a member's external
+            # input transitively depends on an earlier member (e.g. a
+            # voter waiting for an off-processor replica of a co-located
+            # task), the batch arrival would depend on its own members and
+            # the bound would self-inflate.  Cutting there keeps every
+            # sub-batch's external inputs independent of its members.
+            same_pe = pe_code == processor_code[key[2]]
+            current: List[int] = []
+            for index in groups[key]:
+                reentrant = False
+                current_set = set(current)
+                for pred_index, _best, _worst, _on_demand in self.jobs[index].preds:
+                    if pred_index in current_set:
+                        continue
+                    if self.ancestors[pred_index] & current_set:
+                        reentrant = True
+                        break
+                if reentrant and current:
+                    batches.append(self._make_batch(current, same_pe, priority))
+                    current = []
+                current.append(index)
+            if current:
+                batches.append(self._make_batch(current, same_pe, priority))
+        return tuple(batches)
+
+    def _make_batch(
+        self, members: List[int], same_pe: np.ndarray, priority: np.ndarray
+    ) -> Batch:
+        jobs = self.jobs
+        member_set = set(members)
+        external: List[Tuple[int, float]] = []
+        for index in members:
+            for pred_index, _best, worst, _on_demand in jobs[index].preds:
+                if pred_index not in member_set:
+                    external.append((pred_index, worst))
+        release = max(jobs[i].release for i in members)
+        weakest = max(jobs[i].priority for i in members)
+        # An ancestor of any member completes no later than the batch
+        # arrival (its effect travels through some external input), so it
+        # can never execute inside the batch's busy interval.
+        candidate = same_pe & (priority < weakest)
+        excluded = set(members)
+        for index in members:
+            excluded |= self.ancestors[index]
+        candidate[list(excluded)] = False
+        return Batch(
+            members=tuple(members),
+            external_preds=tuple(external),
+            release=release,
+            interferers=tuple(np.flatnonzero(candidate).tolist()),
+        )
+
+    @cached_property
+    def index_arrays(self) -> IndexArrays:
+        jobs = self.jobs
+        pred_src: List[int] = []
+        pred_dst: List[int] = []
+        pred_comm_worst: List[float] = []
+        for job in jobs:
+            for src, _best, worst, _on_demand in job.preds:
+                pred_src.append(src)
+                pred_dst.append(job.index)
+                pred_comm_worst.append(worst)
+        hp_victim: List[int] = []
+        hp_other: List[int] = []
+        for index, others in enumerate(self.higher_priority):
+            hp_victim.extend([index] * len(others))
+            hp_other.extend(others)
+        member_flat: List[int] = []
+        member_batch: List[int] = []
+        ext_src: List[int] = []
+        ext_comm: List[float] = []
+        ext_batch: List[int] = []
+        int_other: List[int] = []
+        int_batch: List[int] = []
+        for b, batch in enumerate(self.batches):
+            member_flat.extend(batch.members)
+            member_batch.extend([b] * len(batch.members))
+            for src, comm in batch.external_preds:
+                ext_src.append(src)
+                ext_comm.append(comm)
+                ext_batch.append(b)
+            int_other.extend(batch.interferers)
+            int_batch.extend([b] * len(batch.interferers))
+
+        def ints(values: List[int]) -> np.ndarray:
+            return np.array(values, dtype=np.int64)
+
+        def floats(values: List[float]) -> np.ndarray:
+            return np.array(values, dtype=np.float64)
+
+        return IndexArrays(
+            release_values=tuple(job.release for job in jobs),
+            preds=tuple(job.preds for job in jobs),
+            pred_src=ints(pred_src),
+            pred_dst=ints(pred_dst),
+            pred_comm_worst=floats(pred_comm_worst),
+            hp_victim=ints(hp_victim),
+            hp_other=ints(hp_other),
+            batch_count=len(self.batches),
+            member_flat=ints(member_flat),
+            member_batch=ints(member_batch),
+            ext_src=ints(ext_src),
+            ext_comm=floats(ext_comm),
+            ext_batch=ints(ext_batch),
+            int_other=ints(int_other),
+            int_batch=ints(int_batch),
+            batch_release=floats([batch.release for batch in self.batches]),
+        )
+
+    @cached_property
+    def digest(self) -> bytes:
+        parts: List[str] = [
+            repr((self.hyperperiod.hex(), self.hyperperiods)),
+            repr(self.topo_order),
+        ]
+        if self.comm_token:
+            parts.append(f"comm={self.comm_token}")
+        for job in self.jobs:
+            parts.append(
+                repr(
+                    (
+                        job.task_name,
+                        job.graph_name,
+                        job.instance,
+                        job.release.hex(),
+                        job.abs_deadline.hex(),
+                        job.processor,
+                        job.priority,
+                        job.analyzed,
+                        job.droppable,
+                        tuple(
+                            (pred, best.hex(), worst.hex(), on_demand)
+                            for pred, best, worst, on_demand in job.preds
+                        ),
+                    )
+                )
+            )
+        return hashlib.sha256("\n".join(parts).encode("utf-8")).digest()
+
+
 class JobSet:
-    """An immutable indexed collection of jobs plus platform context."""
+    """An immutable indexed collection of jobs plus platform context.
+
+    The per-job execution bounds live in two float64 vectors,
+    :attr:`bcet` and :attr:`wcet`; everything else is a structure shared
+    by every :meth:`with_bounds` clone.  Clones build their :class:`Job`
+    tuple only when a reader asks for :attr:`jobs`.
+    """
 
     def __init__(
         self,
@@ -91,40 +395,20 @@ class JobSet:
         hyperperiods: int = 2,
         comm_token: str = "",
     ):
-        self._jobs: Tuple[Job, ...] = tuple(jobs)
-        self._hyperperiod = hyperperiod
-        self._hyperperiods = hyperperiods
-        self._applications = applications
-        self._mapping = mapping
-        self._comm_token = comm_token
-        self._topo_order: Tuple[int, ...] = tuple(topo_order)
-        self._by_id: Dict[JobId, int] = {
-            job.job_id: job.index for job in self._jobs
-        }
-        self._by_task: Dict[str, List[int]] = {}
-        for job in self._jobs:
-            self._by_task.setdefault(job.task_name, []).append(job.index)
-        #: Lazily computed digest of everything except execution-time
-        #: bounds; shared by :meth:`with_bounds` clones.
-        self._structure_digest: Optional[bytes] = None
-        # Same-processor, higher-priority job indices, precomputed for the
-        # interference iteration.
-        by_pe: Dict[str, List[int]] = {}
-        for job in self._jobs:
-            by_pe.setdefault(job.processor, []).append(job.index)
-        self._batches: Optional[Tuple[Batch, ...]] = None
-        related = self._precedence_related()
-        self._higher_priority: List[Tuple[int, ...]] = [()] * len(self._jobs)
-        for indices in by_pe.values():
-            ranked = sorted(indices, key=lambda i: self._jobs[i].priority)
-            for position, job_index in enumerate(ranked):
-                self._higher_priority[job_index] = tuple(
-                    other
-                    for other in ranked[:position]
-                    if other not in related[job_index]
-                )
+        self._jobs: Optional[Tuple[Job, ...]] = tuple(jobs)
+        self._s = _Structure(
+            self._jobs,
+            hyperperiod,
+            hyperperiods,
+            applications,
+            mapping,
+            tuple(topo_order),
+            comm_token,
+        )
+        self._bcet = _frozen([job.bcet for job in self._jobs])
+        self._wcet = _frozen([job.wcet for job in self._jobs])
 
-    def batches(self) -> Tuple["Batch", ...]:
+    def batches(self) -> Tuple[Batch, ...]:
         """Work-conserving batches: same graph instance, same processor.
 
         All jobs of one graph instance mapped on one processor form a
@@ -138,90 +422,11 @@ class JobSet:
         depend on execution-time bounds, so it is computed once and shared
         across :meth:`with_bounds` clones.
         """
-        if self._batches is not None:
-            return self._batches
-        groups: Dict[Tuple[str, int, str], List[int]] = {}
-        for job in self._jobs:
-            key = (job.graph_name, job.instance, job.processor)
-            groups.setdefault(key, []).append(job.index)
-        batches: List[Batch] = []
-        for key in sorted(groups):
-            # Split the group at re-entrant points: if a member's external
-            # input transitively depends on an earlier member (e.g. a
-            # voter waiting for an off-processor replica of a co-located
-            # task), the batch arrival would depend on its own members and
-            # the bound would self-inflate.  Cutting there keeps every
-            # sub-batch's external inputs independent of its members.
-            members = groups[key]
-            current: List[int] = []
-            for index in members:
-                reentrant = False
-                current_set = set(current)
-                for pred_index, _best, _worst, _on_demand in self._jobs[index].preds:
-                    if pred_index in current_set:
-                        continue
-                    if self._ancestors[pred_index] & current_set:
-                        reentrant = True
-                        break
-                if reentrant and current:
-                    batches.append(self._make_batch(current, key[2]))
-                    current = []
-                current.append(index)
-            if current:
-                batches.append(self._make_batch(current, key[2]))
-        self._batches = tuple(batches)
-        return self._batches
+        return self._s.batches
 
-    def _make_batch(self, members: List[int], processor: str) -> "Batch":
-        member_set = set(members)
-        external: List[Tuple[int, float]] = []
-        for index in members:
-            for pred_index, _best, worst, _on_demand in self._jobs[index].preds:
-                if pred_index not in member_set:
-                    external.append((pred_index, worst))
-        release = max(self._jobs[i].release for i in members)
-        weakest = max(self._jobs[i].priority for i in members)
-        # An ancestor of any member completes no later than the batch
-        # arrival (its effect travels through some external input), so it
-        # can never execute inside the batch's busy interval.
-        ancestors: Set[int] = set()
-        for index in members:
-            ancestors |= self._ancestors[index]
-        candidates = tuple(
-            other
-            for other in range(len(self._jobs))
-            if other not in member_set
-            and other not in ancestors
-            and self._jobs[other].processor == processor
-            and self._jobs[other].priority < weakest
-        )
-        return Batch(
-            members=tuple(members),
-            external_preds=tuple(external),
-            release=release,
-            interferers=candidates,
-        )
-
-    def _precedence_related(self) -> List[Set[int]]:
-        """Ancestors ∪ descendants of every job within its graph instance.
-
-        A job's ancestors always complete before it arrives and its
-        descendants cannot start before it completes, so neither can ever
-        be *pending* concurrently with it — they are soundly excluded
-        from the same-processor interference sets.
-        """
-        ancestors: List[Set[int]] = [set() for _ in self._jobs]
-        for job in self._jobs:  # construction order is topological per instance
-            mine = ancestors[job.index]
-            for pred_index, _best, _worst, _on_demand in job.preds:
-                mine.add(pred_index)
-                mine.update(ancestors[pred_index])
-        self._ancestors: List[Set[int]] = ancestors
-        related: List[Set[int]] = [set(a) for a in ancestors]
-        for job in self._jobs:
-            for ancestor in ancestors[job.index]:
-                related[ancestor].add(job.index)
-        return related
+    def index_arrays(self) -> IndexArrays:
+        """The structure as flat index arrays, shared across clones."""
+        return self._s.index_arrays
 
     # ------------------------------------------------------------------
     # Access
@@ -230,32 +435,66 @@ class JobSet:
     @property
     def jobs(self) -> Tuple[Job, ...]:
         """All jobs, indexed densely from 0."""
+        if self._jobs is None:
+            self._jobs = tuple(
+                job
+                if job.bcet == bcet and job.wcet == wcet
+                else replace(job, bcet=bcet, wcet=wcet)
+                for job, bcet, wcet in zip(
+                    self._s.jobs, self._bcet.tolist(), self._wcet.tolist()
+                )
+            )
         return self._jobs
+
+    @property
+    def bcet(self) -> np.ndarray:
+        """Read-only per-job best-case execution times."""
+        return self._bcet
+
+    @property
+    def wcet(self) -> np.ndarray:
+        """Read-only per-job worst-case execution times."""
+        return self._wcet
+
+    @property
+    def analyzed(self) -> np.ndarray:
+        """Read-only mask of the first-hyperperiod jobs."""
+        return self._s.analyzed
+
+    @property
+    def release(self) -> np.ndarray:
+        """Per-job release times."""
+        return self._s.release
+
+    @property
+    def instance(self) -> np.ndarray:
+        """Per-job graph instance indices."""
+        return self._s.instance
 
     @property
     def hyperperiod(self) -> float:
         """Hyperperiod of the application set."""
-        return self._hyperperiod
+        return self._s.hyperperiod
 
     @property
     def horizon(self) -> float:
         """Length of the unrolled horizon."""
-        return self._hyperperiods * self._hyperperiod
+        return self._s.hyperperiods * self._s.hyperperiod
 
     @property
     def applications(self) -> ApplicationSet:
         """The (hardened) application set the jobs derive from."""
-        return self._applications
+        return self._s.applications
 
     @property
     def mapping(self) -> Mapping:
         """The task-to-processor mapping in force."""
-        return self._mapping
+        return self._s.mapping
 
     @property
     def topo_order(self) -> Tuple[int, ...]:
         """Job indices in a precedence-compatible order."""
-        return self._topo_order
+        return self._s.topo_order
 
     @property
     def comm_token(self) -> str:
@@ -266,21 +505,26 @@ class JobSet:
         differing only in their comm configuration can never collide in
         the ScheduleCache.
         """
-        return self._comm_token
+        return self._s.comm_token
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return len(self._bcet)
 
-    def job(self, job_id: JobId) -> Job:
-        """Look up a job by ``(task, instance)``."""
+    def index_of(self, job_id: JobId) -> int:
+        """Dense index of the job ``(task, instance)``."""
         try:
-            return self._jobs[self._by_id[job_id]]
+            return self._s.by_id[job_id]
         except KeyError:
             raise AnalysisError(f"no job {job_id!r} in the job set") from None
 
+    def job(self, job_id: JobId) -> Job:
+        """Look up a job by ``(task, instance)``."""
+        return self.jobs[self.index_of(job_id)]
+
     def jobs_of_task(self, task_name: str) -> List[Job]:
         """All jobs of a task across the horizon."""
-        return [self._jobs[i] for i in self._by_task.get(task_name, [])]
+        jobs = self.jobs
+        return [jobs[i] for i in self._s.by_task.get(task_name, [])]
 
     def analyzed_jobs_of_task(self, task_name: str) -> List[Job]:
         """First-hyperperiod jobs of a task."""
@@ -289,11 +533,33 @@ class JobSet:
     @property
     def analyzed_jobs(self) -> List[Job]:
         """All first-hyperperiod jobs."""
-        return [job for job in self._jobs if job.analyzed]
+        return [job for job in self.jobs if job.analyzed]
+
+    def analyzed_indices_of_task(self, task_name: str) -> np.ndarray:
+        """Ascending indices of a task's first-hyperperiod jobs."""
+        return self._s.analyzed_of_task.get(task_name, _NO_INDICES)
+
+    def analyzed_indices_of_graph(self, graph_name: str) -> np.ndarray:
+        """Ascending indices of a graph's first-hyperperiod jobs."""
+        return self._s.analyzed_of_graph.get(graph_name, _NO_INDICES)
+
+    def analyzed_task_groups(self) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
+        """First-hyperperiod jobs grouped by task, for ``reduceat`` folds.
+
+        Returns ``(names, indices, starts)``: ``indices[starts[k]:
+        starts[k + 1]]`` are the ascending job indices of task
+        ``names[k]``.
+        """
+        return self._s.task_groups
+
+    def analyzed_graph_groups(self) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
+        """First-hyperperiod jobs grouped by graph (see
+        :meth:`analyzed_task_groups`)."""
+        return self._s.graph_groups
 
     def higher_priority_on_same_pe(self, job_index: int) -> Tuple[int, ...]:
         """Indices of higher-priority jobs sharing the job's processor."""
-        return self._higher_priority[job_index]
+        return self._s.higher_priority[job_index]
 
     # ------------------------------------------------------------------
     # Canonical identity
@@ -312,92 +578,84 @@ class JobSet:
         exact hex encoding; no rounding is involved.
 
         The structural part (everything except the execution-time bounds)
-        is hashed once and shared across :meth:`with_bounds` clones, so a
-        fingerprint costs one pass over the bcet/wcet vectors on the
-        Algorithm-1 hot path.
+        is hashed once and shared across :meth:`with_bounds` clones; the
+        bounds enter as the little-endian ``(bcet, wcet)`` pairs of every
+        job, the same bytes as packing each pair with ``struct`` ``<dd``.
         """
-        digest = hashlib.sha256(self._structure())
-        pack = struct.pack
-        for job in self._jobs:
-            digest.update(pack("<dd", job.bcet, job.wcet))
+        digest = hashlib.sha256(self._s.digest)
+        digest.update(
+            np.column_stack((self._bcet, self._wcet)).astype("<f8").tobytes()
+        )
         return digest.hexdigest()
-
-    def _structure(self) -> bytes:
-        if self._structure_digest is None:
-            parts: List[str] = [
-                repr((self._hyperperiod.hex(), self._hyperperiods)),
-                repr(self._topo_order),
-            ]
-            if self._comm_token:
-                parts.append(f"comm={self._comm_token}")
-            for job in self._jobs:
-                parts.append(
-                    repr(
-                        (
-                            job.task_name,
-                            job.graph_name,
-                            job.instance,
-                            job.release.hex(),
-                            job.abs_deadline.hex(),
-                            job.processor,
-                            job.priority,
-                            job.analyzed,
-                            job.droppable,
-                            tuple(
-                                (pred, best.hex(), worst.hex(), on_demand)
-                                for pred, best, worst, on_demand in job.preds
-                            ),
-                        )
-                    )
-                )
-            self._structure_digest = hashlib.sha256(
-                "\n".join(parts).encode("utf-8")
-            ).digest()
-        return self._structure_digest
 
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
 
-    def with_bounds(self, overrides: TMapping[JobId, Tuple[float, float]]) -> "JobSet":
-        """A copy where the listed jobs carry new ``(bcet, wcet)`` bounds.
+    def with_bounds(self, bcet, wcet) -> "JobSet":
+        """A copy carrying the per-job bounds vectors ``bcet`` and ``wcet``.
 
-        Only first-hyperperiod jobs may be overridden: the system is back
-        to the normal state in the second hyperperiod (paper §3).
+        Only first-hyperperiod jobs may change: the system is back to the
+        normal state in the second hyperperiod (paper §3).  A changed job
+        needs ``0 <= bcet <= wcet``.  Unchanged vectors return ``self``.
         """
-        if not overrides:
+        bcet = np.array(bcet, dtype=np.float64)
+        wcet = np.array(wcet, dtype=np.float64)
+        count = len(self)
+        if bcet.shape != (count,) or wcet.shape != (count,):
+            raise AnalysisError(
+                f"bounds vectors of shapes {bcet.shape} and {wcet.shape} do "
+                f"not match the {count} jobs of the set (unknown or missing "
+                f"jobs)"
+            )
+        changed = (bcet != self._bcet) | (wcet != self._wcet)
+        if not changed.any():
             return self
-        new_jobs: List[Job] = list(self._jobs)
-        for job_id, (bcet, wcet) in overrides.items():
-            index = self._by_id.get(job_id)
-            if index is None:
-                raise AnalysisError(f"cannot override unknown job {job_id!r}")
-            job = self._jobs[index]
-            if not job.analyzed:
-                raise AnalysisError(
-                    f"job {job_id!r} lies in the second hyperperiod and must "
-                    f"keep nominal bounds"
-                )
-            if bcet < 0 or wcet < bcet:
-                raise AnalysisError(
-                    f"invalid bounds override for {job_id!r}: [{bcet}, {wcet}]"
-                )
-            new_jobs[index] = replace(job, bcet=bcet, wcet=wcet)
+        structure = self._s
+        outside = changed & ~structure.analyzed
+        if outside.any():
+            job_id = structure.jobs[int(np.argmax(outside))].job_id
+            raise AnalysisError(
+                f"job {job_id!r} lies in the second hyperperiod and must "
+                f"keep nominal bounds"
+            )
+        invalid = changed & ((bcet < 0) | (wcet < bcet))
+        if invalid.any():
+            index = int(np.argmax(invalid))
+            raise AnalysisError(
+                f"invalid bounds override for {structure.jobs[index].job_id!r}: "
+                f"[{bcet[index]}, {wcet[index]}]"
+            )
+        bcet.flags.writeable = False
+        wcet.flags.writeable = False
         clone = object.__new__(JobSet)
-        clone._jobs = tuple(new_jobs)
-        clone._hyperperiod = self._hyperperiod
-        clone._hyperperiods = self._hyperperiods
-        clone._applications = self._applications
-        clone._mapping = self._mapping
-        clone._comm_token = self._comm_token
-        clone._topo_order = self._topo_order
-        clone._by_id = self._by_id
-        clone._by_task = self._by_task
-        clone._higher_priority = self._higher_priority
-        clone._batches = self._batches
-        clone._ancestors = self._ancestors
-        clone._structure_digest = self._structure_digest
+        clone._s = structure
+        clone._bcet = bcet
+        clone._wcet = wcet
+        clone._jobs = None
         return clone
+
+
+def _frozen(values: Sequence, dtype=np.float64) -> np.ndarray:
+    """A read-only vector."""
+    vector = np.array(values, dtype=dtype)
+    vector.flags.writeable = False
+    return vector
+
+
+_NO_INDICES = _frozen([], np.int64)
+
+
+def _groups(
+    table: TMapping[str, np.ndarray]
+) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
+    """Concatenate the non-empty index lists of ``table`` for ``reduceat``."""
+    names = tuple(name for name, indices in table.items() if indices.size)
+    parts = [table[name] for name in names]
+    sizes = np.array([part.size for part in parts], dtype=np.int64)
+    indices = np.concatenate(parts) if parts else _NO_INDICES
+    starts = np.cumsum(sizes) - sizes
+    return names, _frozen(indices, np.int64), _frozen(starts, np.int64)
 
 
 def unroll(

@@ -27,7 +27,9 @@ fixed point therefore dominates every actual schedule.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+
+import numpy as np
 
 from repro.errors import AnalysisError
 from repro.sched.jobs import Job, JobId, JobSet
@@ -70,11 +72,31 @@ class ScheduleBounds:
         self.converged = converged
         #: Number of sweeps the iteration took.
         self.sweeps = sweeps
+        self._min_start_vector: Optional[np.ndarray] = None
+        self._max_finish_vector: Optional[np.ndarray] = None
 
     @property
     def jobset(self) -> JobSet:
         """The analyzed job set."""
         return self._jobset
+
+    @property
+    def min_start_vector(self) -> np.ndarray:
+        """Per-job ``min_start`` as a read-only vector."""
+        if self._min_start_vector is None:
+            vector = np.array(self._min_start, dtype=np.float64)
+            vector.flags.writeable = False
+            self._min_start_vector = vector
+        return self._min_start_vector
+
+    @property
+    def max_finish_vector(self) -> np.ndarray:
+        """Per-job ``max_finish`` as a read-only vector."""
+        if self._max_finish_vector is None:
+            vector = np.array(self._max_finish, dtype=np.float64)
+            vector.flags.writeable = False
+            self._max_finish_vector = vector
+        return self._max_finish_vector
 
     # ------------------------------------------------------------------
     # Job-level access
@@ -82,8 +104,7 @@ class ScheduleBounds:
 
     def job_bounds(self, job_id: JobId) -> JobBounds:
         """Bounds of one job."""
-        index = self._jobset.job(job_id).index
-        return self.bounds_at(index)
+        return self.bounds_at(self._jobset.index_of(job_id))
 
     def bounds_at(self, index: int) -> JobBounds:
         """Bounds of the job with the given dense index."""
@@ -98,19 +119,29 @@ class ScheduleBounds:
     # Task-level aggregation (Algorithm 1 interface)
     # ------------------------------------------------------------------
 
+    def _analyzed_of_task(self, task_name: str) -> np.ndarray:
+        indices = self._jobset.analyzed_indices_of_task(task_name)
+        if not indices.size:
+            raise AnalysisError(f"task {task_name!r} has no analyzed jobs")
+        return indices
+
     def task_min_start(self, task_name: str) -> float:
         """``minStart`` over the task's first-hyperperiod jobs."""
-        jobs = self._jobset.analyzed_jobs_of_task(task_name)
-        if not jobs:
-            raise AnalysisError(f"task {task_name!r} has no analyzed jobs")
-        return min(self._min_start[job.index] for job in jobs)
+        indices = self._analyzed_of_task(task_name)
+        return float(self.min_start_vector[indices].min())
 
     def task_max_finish(self, task_name: str) -> float:
         """``maxFinish`` over the task's first-hyperperiod jobs."""
-        jobs = self._jobset.analyzed_jobs_of_task(task_name)
-        if not jobs:
-            raise AnalysisError(f"task {task_name!r} has no analyzed jobs")
-        return max(self._max_finish[job.index] for job in jobs)
+        indices = self._analyzed_of_task(task_name)
+        return float(self.max_finish_vector[indices].max())
+
+    def task_max_finishes(self) -> Dict[str, float]:
+        """:meth:`task_max_finish` of every task with analyzed jobs."""
+        names, indices, starts = self._jobset.analyzed_task_groups()
+        if not names:
+            return {}
+        finish = np.maximum.reduceat(self.max_finish_vector[indices], starts)
+        return dict(zip(names, finish.tolist()))
 
     # ------------------------------------------------------------------
     # Graph-level response times
@@ -123,16 +154,19 @@ class ScheduleBounds:
         of its jobs relative to the instance release; the WCRT maximises
         over the instances of the first hyperperiod.
         """
-        worst = None
-        for job in self._jobset.analyzed_jobs:
-            if job.graph_name != graph_name:
-                continue
-            response = self._max_finish[job.index] - job.release
-            if worst is None or response > worst:
-                worst = response
-        if worst is None:
+        indices = self._jobset.analyzed_indices_of_graph(graph_name)
+        if not indices.size:
             raise AnalysisError(f"graph {graph_name!r} has no analyzed jobs")
-        return worst
+        response = self.max_finish_vector[indices] - self._jobset.release[indices]
+        return float(response.max())
+
+    def graph_wcrts(self) -> Dict[str, float]:
+        """:meth:`graph_wcrt` of every graph with analyzed jobs."""
+        names, indices, starts = self._jobset.analyzed_graph_groups()
+        if not names:
+            return {}
+        response = self.max_finish_vector[indices] - self._jobset.release[indices]
+        return dict(zip(names, np.maximum.reduceat(response, starts).tolist()))
 
     def deadline_misses(self, include_graphs: Optional[Iterable[str]] = None) -> List[JobId]:
         """First-hyperperiod jobs whose worst-case finish exceeds the deadline."""

@@ -61,7 +61,7 @@ def bounds_to_record(key: str, bounds: ScheduleBounds) -> Dict[str, Any]:
     record: Dict[str, Any] = {
         "version": SCHEMA_VERSION,
         "key": key,
-        "jobs": len(bounds.jobset.jobs),
+        "jobs": len(bounds.jobset),
         "min_start": list(bounds._min_start),
         "min_finish": list(bounds._min_finish),
         "max_start": list(bounds._max_start),
@@ -88,7 +88,7 @@ def bounds_from_record(
         return None
     if record.get("version") != SCHEMA_VERSION or record.get("key") != key:
         return None
-    count = len(jobset.jobs)
+    count = len(jobset)
     if record.get("jobs") != count:
         return None
     arrays = []

@@ -24,6 +24,7 @@ from repro.obs.metrics import metrics
 from repro.sched.holistic import HolisticAnalysisBackend
 from repro.sched.wcrt import ScheduleBounds, WindowAnalysisBackend
 from repro.suites import benchmark_names, get_benchmark
+from tests.overrides import with_overrides
 
 
 def _suite_case(name):
@@ -137,10 +138,10 @@ class TestFingerprint:
         analysis = MixedCriticalityAnalysis()
         base = analysis._base_jobset(hardened, architecture, mapping)
         job = base.analyzed_jobs[0]
-        widened = base.with_bounds({job.job_id: (job.bcet, job.wcet + 1.0)})
+        widened = with_overrides(base, {job.job_id: (job.bcet, job.wcet + 1.0)})
         assert widened.fingerprint() != base.fingerprint()
         # ... and an identity override fingerprints back to the original.
-        same = base.with_bounds({job.job_id: (job.bcet, job.wcet)})
+        same = with_overrides(base, {job.job_id: (job.bcet, job.wcet)})
         assert same.fingerprint() == base.fingerprint()
 
 
@@ -207,7 +208,7 @@ class TestWarmStart:
         analysis = MixedCriticalityAnalysis(backend=HolisticAnalysisBackend())
         base = analysis._base_jobset(hardened, architecture, mapping)
         job = base.analyzed_jobs[0]
-        widened = base.with_bounds({job.job_id: (job.bcet, job.wcet + 5.0)})
+        widened = with_overrides(base, {job.job_id: (job.bcet, job.wcet + 5.0)})
         seed = backend.analyze(widened)
         narrow = backend.analyze(base, seed=seed)
         assert registry.counter("analysis.warmstart.rejected").value == 1
@@ -219,7 +220,7 @@ class TestWarmStart:
         base = analysis._base_jobset(hardened, architecture, mapping)
         normal = backend.analyze(base)
         job = base.analyzed_jobs[0]
-        widened = base.with_bounds({job.job_id: (job.bcet, job.wcet * 2.0)})
+        widened = with_overrides(base, {job.job_id: (job.bcet, job.wcet * 2.0)})
         warm = backend.analyze(widened, seed=normal)
         cold = HolisticAnalysisBackend().analyze(widened)
         assert warm.holistic_state["response"] == cold.holistic_state["response"]
@@ -231,16 +232,23 @@ class TestTransitionPruner:
     def test_containment_domination(self, hardened, architecture, mapping):
         analysis = MixedCriticalityAnalysis()
         base = analysis._base_jobset(hardened, architecture, mapping)
-        pruner = TransitionPruner(base)
+        pruner = TransitionPruner()
         job_a, job_b = base.analyzed_jobs[0], base.analyzed_jobs[1]
-        wide = {job_a.job_id: (0.0, job_a.wcet + 10.0)}
-        narrow = {job_a.job_id: (job_a.bcet, job_a.wcet + 1.0)}
-        sideways = {job_b.job_id: (0.0, job_b.wcet + 1.0)}
 
-        assert not pruner.is_dominated(wide)
-        pruner.record(wide)
-        assert pruner.is_dominated(narrow)
-        # Nominal-bounds transition (empty override) is always covered.
-        assert pruner.is_dominated({})
-        # An override on a job the recorded transition left nominal is not.
-        assert not pruner.is_dominated(sideways)
+        def vectors(overrides):
+            clone = with_overrides(base, overrides)
+            return clone.bcet, clone.wcet
+
+        wide = vectors({job_a.job_id: (0.0, job_a.wcet + 10.0)})
+        narrow = vectors({job_a.job_id: (job_a.bcet, job_a.wcet + 1.0)})
+        sideways = vectors({job_b.job_id: (0.0, job_b.wcet + 1.0)})
+
+        assert not pruner.is_dominated(*wide)
+        pruner.record(*wide)
+        assert pruner.is_dominated(*narrow)
+        # Nominal-bounds transition (no change) is always covered.
+        assert pruner.is_dominated(base.bcet, base.wcet)
+        # A change on a job the recorded transition left nominal is not.
+        assert not pruner.is_dominated(*sideways)
+        # Equal intervals dominate each other (containment, not strict).
+        assert pruner.is_dominated(*wide)

@@ -13,6 +13,13 @@ class TestSpecValidation:
         assert not spec.is_replicated
         assert not spec.triggers_critical_state
 
+    def test_none_is_one_shared_instance(self):
+        assert HardeningSpec.none() is HardeningSpec.none()
+        assert HardeningSpec.none() == HardeningSpec()
+        assert HardeningPlan().spec_of("anything") is HardeningSpec.none()
+        with pytest.raises(AttributeError):
+            HardeningSpec.none().reexecutions = 1  # frozen: sharing is safe
+
     def test_none_rejects_parameters(self):
         with pytest.raises(HardeningError):
             HardeningSpec(kind=HardeningKind.NONE, reexecutions=1)

@@ -13,6 +13,7 @@ from repro.sched.fast import FastWindowAnalysisBackend
 from repro.sched.holistic import HolisticAnalysisBackend
 from repro.sched.jobs import unroll
 from repro.sched.wcrt import WindowAnalysisBackend
+from tests.overrides import with_overrides
 
 
 def make_jobset(seed, policy="fp"):
@@ -78,7 +79,9 @@ def test_wcet_inflation_is_monotone(seed):
     reference = backend.analyze(jobset)
     target = jobset.analyzed_jobs[seed % len(jobset.analyzed_jobs)]
     inflated = backend.analyze(
-        jobset.with_bounds({target.job_id: (target.bcet, target.wcet * 2 + 1)})
+        with_overrides(
+            jobset, {target.job_id: (target.bcet, target.wcet * 2 + 1)}
+        )
     )
     for job in jobset.jobs:
         assert (

@@ -1,5 +1,6 @@
 """Unit tests for hyperperiod unrolling and job sets."""
 
+import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
@@ -8,6 +9,7 @@ from repro.model.mapping import Mapping
 from repro.model.task import Channel, Task
 from repro.model.taskgraph import TaskGraph
 from repro.sched.jobs import unroll
+from tests.overrides import with_overrides
 
 
 @pytest.fixture
@@ -85,24 +87,54 @@ class TestUnrolling:
 
 class TestWithBounds:
     def test_override_applies(self, jobset):
-        clone = jobset.with_bounds({("a", 0): (0.5, 1.0)})
+        clone = with_overrides(jobset, {("a", 0): (0.5, 1.0)})
         assert clone.job(("a", 0)).wcet == 1.0
         assert jobset.job(("a", 0)).wcet == 2.0  # original untouched
 
     def test_override_second_hyperperiod_rejected(self, jobset):
         with pytest.raises(AnalysisError, match="second hyperperiod"):
-            jobset.with_bounds({("a", 1): (0.0, 1.0)})
+            with_overrides(jobset, {("a", 1): (0.0, 1.0)})
 
     def test_override_unknown_job_rejected(self, jobset):
-        with pytest.raises(AnalysisError, match="unknown job"):
-            jobset.with_bounds({("ghost", 0): (0.0, 1.0)})
+        with pytest.raises(AnalysisError, match="no job"):
+            with_overrides(jobset, {("ghost", 0): (0.0, 1.0)})
+        longer = np.append(jobset.wcet, 1.0)
+        with pytest.raises(AnalysisError, match="unknown"):
+            jobset.with_bounds(np.append(jobset.bcet, 0.0), longer)
+        with pytest.raises(AnalysisError, match="missing"):
+            jobset.with_bounds(jobset.bcet[:-1], jobset.wcet[:-1])
 
     def test_invalid_bounds_rejected(self, jobset):
         with pytest.raises(AnalysisError, match="invalid bounds"):
-            jobset.with_bounds({("a", 0): (2.0, 1.0)})
+            with_overrides(jobset, {("a", 0): (2.0, 1.0)})
+        with pytest.raises(AnalysisError, match="invalid bounds"):
+            with_overrides(jobset, {("a", 0): (-1.0, 1.0)})
 
     def test_empty_override_returns_same_object(self, jobset):
-        assert jobset.with_bounds({}) is jobset
+        assert with_overrides(jobset, {}) is jobset
+        assert jobset.with_bounds(jobset.bcet, jobset.wcet) is jobset
+
+    def test_clone_vectors_are_read_only(self, jobset):
+        clone = with_overrides(jobset, {("a", 0): (0.5, 1.0)})
+        with pytest.raises(ValueError):
+            clone.wcet[0] = 99.0
+        with pytest.raises(ValueError):
+            jobset.bcet[0] = 99.0
+
+    def test_clone_builds_jobs_from_vectors(self, jobset):
+        clone = with_overrides(jobset, {("a", 0): (0.5, 1.0)})
+        assert [job.wcet for job in clone.jobs] == clone.wcet.tolist()
+        assert [job.bcet for job in clone.jobs] == clone.bcet.tolist()
+        untouched = jobset.job(("b", 0))
+        assert clone.job(("b", 0)) is untouched
+
+    def test_clone_shares_structure_tables(self, jobset):
+        clone = with_overrides(jobset, {("a", 0): (0.5, 1.0)})
+        assert clone.index_arrays() is jobset.index_arrays()
+        assert clone.analyzed_indices_of_task("a") is (
+            jobset.analyzed_indices_of_task("a")
+        )
+        assert clone.analyzed is jobset.analyzed
 
 
 class TestInterferenceStructure:
@@ -158,8 +190,37 @@ class TestBatches:
 
     def test_batches_cached_across_clones(self, jobset):
         batches = jobset.batches()
-        clone = jobset.with_bounds({("a", 0): (0.0, 1.0)})
+        clone = with_overrides(jobset, {("a", 0): (0.0, 1.0)})
         assert clone.batches() is batches
+
+    @pytest.mark.parametrize("comm", [None, "message-jobs"])
+    def test_interferers_match_a_full_scan(
+        self, hardened, architecture, mapping, comm
+    ):
+        from repro.comm import make_comm
+
+        js = unroll(
+            hardened.applications, mapping, architecture,
+            comm=None if comm is None else make_comm(comm),
+        )
+        jobs = js.jobs
+        for batch in js.batches():
+            members = set(batch.members)
+            ancestors = set()
+            for member in batch.members:
+                ancestors |= {
+                    other.index for other in jobs
+                    if _is_ancestor(jobs, other.index, member)
+                }
+            processor = jobs[batch.members[0]].processor
+            weakest = max(jobs[m].priority for m in batch.members)
+            assert batch.interferers == tuple(
+                other.index for other in jobs
+                if other.index not in members
+                and other.index not in ancestors
+                and other.processor == processor
+                and other.priority < weakest
+            )
 
     def test_reentrant_split(self, hardened, architecture, mapping):
         # b's voter waits for off-processor copies of b while sharing
@@ -170,3 +231,17 @@ class TestBatches:
         for batch in js.batches():
             if vote_index in batch.members:
                 assert b_index not in batch.members
+
+
+def _is_ancestor(jobs, candidate, job_index):
+    """Whether ``candidate`` reaches ``job_index`` through precedence edges."""
+    stack = [pred for pred, *_ in jobs[job_index].preds]
+    seen = set()
+    while stack:
+        index = stack.pop()
+        if index == candidate:
+            return True
+        if index not in seen:
+            seen.add(index)
+            stack.extend(pred for pred, *_ in jobs[index].preds)
+    return False

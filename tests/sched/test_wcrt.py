@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.errors import AnalysisError
 from repro.model.application import ApplicationSet
 from repro.model.architecture import Architecture, Interconnect, Processor
 from repro.model.mapping import Mapping
@@ -11,6 +12,7 @@ from repro.model.task import Channel, Task
 from repro.model.taskgraph import TaskGraph
 from repro.sched.jobs import unroll
 from repro.sched.wcrt import WindowAnalysisBackend
+from tests.overrides import with_overrides
 
 
 def arch(n=2, bandwidth=10.0, base_latency=0.0):
@@ -140,6 +142,39 @@ class TestAggregation:
             bounds.bounds_at(j.index).max_finish for j in jobs
         )
 
+    def test_bulk_folds_match_single_lookups(self, hardened, architecture, mapping):
+        jobset = unroll(hardened.applications, mapping, architecture)
+        bounds = WindowAnalysisBackend().analyze(jobset)
+        finishes = bounds.task_max_finishes()
+        assert set(finishes) == set(hardened.applications.all_task_names)
+        for task, finish in finishes.items():
+            assert type(finish) is float
+            assert finish == bounds.task_max_finish(task)
+            assert finish == max(
+                bounds.bounds_at(job.index).max_finish
+                for job in jobset.analyzed_jobs_of_task(task)
+            )
+        wcrts = bounds.graph_wcrts()
+        assert set(wcrts) == set(hardened.applications.graph_names)
+        for graph, wcrt in wcrts.items():
+            assert type(wcrt) is float
+            assert wcrt == bounds.graph_wcrt(graph)
+            assert wcrt == max(
+                bounds.bounds_at(job.index).max_finish - job.release
+                for job in jobset.analyzed_jobs
+                if job.graph_name == graph
+            )
+
+    def test_unknown_names_rejected(self, apps, architecture):
+        flat = Mapping({t: "pe0" for t in apps.all_task_names})
+        bounds = WindowAnalysisBackend().analyze(unroll(apps, flat, architecture))
+        with pytest.raises(AnalysisError, match="no analyzed jobs"):
+            bounds.task_max_finish("ghost")
+        with pytest.raises(AnalysisError, match="no analyzed jobs"):
+            bounds.graph_wcrt("ghost")
+        with pytest.raises(AnalysisError, match="no job"):
+            bounds.job_bounds(("ghost", 0))
+
     def test_deadline_misses(self):
         graph = TaskGraph(
             "g", [Task("t", 5.0, 50.0)], [], period=60.0, deadline=10.0,
@@ -158,7 +193,7 @@ class TestMonotonicity:
         base = unroll(apps, flat, architecture)
         backend = WindowAnalysisBackend()
         reference = backend.analyze(base)
-        inflated = backend.analyze(base.with_bounds({("a", 0): (1.0, 8.0)}))
+        inflated = backend.analyze(with_overrides(base, {("a", 0): (1.0, 8.0)}))
         for job in base.analyzed_jobs:
             assert (
                 inflated.bounds_at(job.index).max_finish
