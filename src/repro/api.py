@@ -59,7 +59,6 @@ __all__ = [
     "explore",
     "verify",
     "validate_dropped",
-    "legacy_comm_backend",
     "cache_stats",
     "cache_clear",
 ]
@@ -69,9 +68,6 @@ SystemLike = Union[str, Path, SystemBundle]
 #: Accepted drop-set spellings: an iterable of names or one
 #: comma-separated string (the CLI's ``--dropped`` syntax).
 DroppedLike = Union[str, Iterable[str]]
-
-#: The comm backend the legacy ``bus_contention=True`` flag selects.
-_MESSAGE_JOBS = "message-jobs"
 
 
 def load(source: SystemLike) -> SystemBundle:
@@ -151,29 +147,6 @@ def cache_clear() -> None:
     shared_cache().clear()
 
 
-def legacy_comm_backend(
-    bundle: SystemBundle, comm_backend: Optional[str], bus_contention: bool
-) -> Optional[str]:
-    """Resolve the legacy ``bus_contention`` flag (api keyword, CLI flag,
-    HTTP field) to a comm backend.
-
-    ``True`` selects ``message-jobs`` when no backend is given and
-    ``bundle`` declares a flat fabric; against any other backend, given
-    or declared, it raises :class:`~repro.errors.ReproError`.
-    """
-    if not bus_contention:
-        return comm_backend
-    if comm_backend is None:
-        declared = bundle.architecture.interconnect.comm_backend
-        comm_backend = _MESSAGE_JOBS if declared == "flat" else declared
-    if comm_backend != _MESSAGE_JOBS:
-        raise ReproError(
-            f"bus_contention=True means comm_backend={_MESSAGE_JOBS!r} "
-            f"and conflicts with comm backend {comm_backend!r}"
-        )
-    return comm_backend
-
-
 def _check_choice(name: str, value: Any, choices: Tuple) -> None:
     if value not in choices:
         raise ReproError(
@@ -214,8 +187,6 @@ class _Request:
 
     #: The operation's wire name (HTTP route ``/v1/<operation>``).
     operation: ClassVar[str]
-    #: Whether the HTTP body may use the legacy ``bus_contention`` alias.
-    bus_contention_alias: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "dropped", _drop_names(self.dropped))
@@ -264,7 +235,6 @@ class AnalyzeRequest(_Request):
     granularity: str = "job"
 
     operation: ClassVar[str] = "analyze"
-    bus_contention_alias: ClassVar[bool] = True
 
     def __post_init__(self):
         if self.backend is None:
@@ -353,7 +323,6 @@ def analyze(
     plan: Optional[HardeningPlan] = None,
     mapping: Optional[Mapping] = None,
     policy: str = "fp",
-    bus_contention: bool = False,
     comm: Union[CommModel, str, None] = None,
     comm_backend: Optional[str] = None,
     comm_arq: Optional[int] = None,
@@ -366,23 +335,13 @@ def analyze(
     ``plan``/``mapping`` default to the bundle's own.  The ``comm_*``
     keywords rewrite the system's interconnect before analysis; ``comm``
     still accepts a ready-made model/backend instance, which then wins
-    outright.  ``bus_contention=True`` is the legacy spelling of
-    ``comm_backend="message-jobs"`` (see :func:`legacy_comm_backend`).
+    outright.
     """
     with span("api.analyze", method=method, granularity=granularity):
-        if bus_contention and comm is not None:
-            raise ReproError(
-                "bus_contention=True conflicts with an explicit comm model; "
-                f"pass comm_backend={_MESSAGE_JOBS!r} instead"
-            )
-        bundle = load(system)
         request = AnalyzeRequest(
-            bundle, method=method, backend=backend, granularity=granularity,
-            dropped=dropped, policy=policy, comm_arq=comm_arq,
-            comm_arq_timeout=comm_arq_timeout,
-            comm_backend=legacy_comm_backend(
-                bundle, comm_backend, bus_contention
-            ),
+            system, method=method, backend=backend, granularity=granularity,
+            dropped=dropped, policy=policy, comm_backend=comm_backend,
+            comm_arq=comm_arq, comm_arq_timeout=comm_arq_timeout,
         )
         hardened, architecture, mapping, drop_set = _prepare(
             request, plan, mapping

@@ -11,9 +11,7 @@ close to the scheduling make-span".
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.problem import Problem
 from repro.errors import ModelError
@@ -112,6 +110,24 @@ def _draw_channel_size(rng: random.Random, config: TgffConfig) -> float:
     return round(rng.uniform(*config.comm_size_range), 1)
 
 
+def _weak_components(nodes: List[str], edges) -> List[List[str]]:
+    """Weakly-connected components by union-find, ordered by each
+    component's first node in ``nodes``."""
+    parent = {node: node for node in nodes}
+
+    def root(node: str) -> str:
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for src, dst in edges:
+        parent[root(src)] = root(dst)
+    components: Dict[str, List[str]] = {}
+    for node in nodes:
+        components.setdefault(root(node), []).append(node)
+    return list(components.values())
+
+
 def generate_task_graph(
     name: str,
     rng: random.Random,
@@ -182,10 +198,7 @@ def generate_task_graph(
     # Stitch weakly-connected components together: grafting an edge from
     # the first layer-0 task to another component's source keeps the graph
     # a DAG and mirrors how TGFF emits single-component graphs.
-    union = nx.DiGraph()
-    union.add_nodes_from(t.name for t in tasks)
-    union.add_edges_from(existing)
-    components = list(nx.weakly_connected_components(union))
+    components = _weak_components([t.name for t in tasks], existing)
     if len(components) > 1:
         anchor = layers[0][0]
         for component in components:

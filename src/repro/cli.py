@@ -127,11 +127,6 @@ def _add_request_flags(parser, request_type, names=None) -> None:
             help=_FLAG_HELP.get(f.name),
             metavar=_FLAG_METAVAR.get(f.name),
         )
-    if request_type.bus_contention_alias and not names:
-        parser.add_argument(
-            "--bus-contention", action="store_true",
-            help="legacy spelling of --comm-backend message-jobs",
-        )
 
 
 def _request_from_args(request_type, args, system):
@@ -148,7 +143,6 @@ def _cmd_analyze(args) -> int:
         bundle,
         **request.options(),
         plan=plan,
-        bus_contention=args.bus_contention,
         # Memoization + warm starts change no reported number (prune
         # stays off), so the fast path is on unless explicitly disabled.
         fast_path=None if args.no_fast_path else FastPathConfig(),
@@ -585,7 +579,6 @@ def _cmd_submit_analyze(args) -> int:
     result = _submit_client(args).analyze(
         request.system,
         **request.options(),
-        bus_contention=args.bus_contention,
         deadline_seconds=args.deadline,
     )
     return _print_analysis(result, args.method)

@@ -171,10 +171,8 @@ class ExplorerConfig:
         disable_dropping: bool = False,
         eval_retries: int = 1,
         eval_budget: Optional[float] = None,
-        eval_soft_budget_seconds: Optional[float] = None,
         eval_fallback: bool = True,
         quarantine: Optional[str] = None,
-        quarantine_path: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 10,
         resume: bool = False,
@@ -183,21 +181,17 @@ class ExplorerConfig:
 
         ``population`` expands to the paper's population = parents =
         offspring = archive triple unless the individual sizes are given
-        explicitly, ``eval_budget``/``quarantine`` are the user-facing
-        spellings of ``eval_soft_budget_seconds``/``quarantine_path``,
-        and checkpointed runs get a quarantine log beside their
-        snapshots unless one is configured explicitly.  Because every
+        explicitly, ``eval_budget``/``quarantine`` set the fields
+        ``eval_soft_budget_seconds``/``quarantine_path``, and
+        checkpointed runs get a quarantine log beside their snapshots
+        unless one is configured explicitly.  Because every
         entry point funnels through here, the same logical inputs
         provably yield identical configs everywhere.
         """
         if resume and not checkpoint_dir:
             raise ExplorationError("resume requires a checkpoint directory")
-        if eval_soft_budget_seconds is None:
-            eval_soft_budget_seconds = eval_budget
-        if quarantine_path is None:
-            quarantine_path = quarantine
-        if quarantine_path is None and checkpoint_dir:
-            quarantine_path = str(Path(checkpoint_dir) / "quarantine.jsonl")
+        if quarantine is None and checkpoint_dir:
+            quarantine = str(Path(checkpoint_dir) / "quarantine.jsonl")
         return cls(
             population_size=(
                 population if population_size is None else population_size
@@ -219,9 +213,9 @@ class ExplorerConfig:
             seed_heuristics=seed_heuristics,
             disable_dropping=disable_dropping,
             eval_retries=eval_retries,
-            eval_soft_budget_seconds=eval_soft_budget_seconds,
+            eval_soft_budget_seconds=eval_budget,
             eval_fallback=eval_fallback,
-            quarantine_path=quarantine_path,
+            quarantine_path=quarantine,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             resume=resume,

@@ -293,7 +293,7 @@ def _epoch_main(spec: Dict[str, Any]) -> None:
             architecture=bundle.architecture,
         )
         config = shard_config(
-            ExplorerConfig.from_options(**spec["options"]),
+            ExplorerConfig(**spec["options"]),
             IslandTopology(**spec["topology"]),
             index,
             spec["state_dir"],

@@ -10,10 +10,9 @@ this as ``f_t = -1``, here it is ``reliability_target=None``.
 """
 
 import enum
+import heapq
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.errors import ModelError
 from repro.model.task import Channel, Task
@@ -83,8 +82,8 @@ class TaskGraph:
             raise ModelError(f"graph {name!r}: must contain at least one task")
 
         self._channels: Dict[Tuple[str, str], Channel] = {}
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._tasks)
+        preds: Dict[str, List[str]] = {task: [] for task in self._tasks}
+        succs: Dict[str, List[str]] = {task: [] for task in self._tasks}
         for channel in channels:
             for endpoint in (channel.src, channel.dst):
                 if endpoint not in self._tasks:
@@ -96,11 +95,11 @@ class TaskGraph:
                     f"graph {name!r}: duplicate channel {channel.src!r} -> {channel.dst!r}"
                 )
             self._channels[channel.key] = channel
-            graph.add_edge(channel.src, channel.dst)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise ModelError(f"graph {name!r}: contains a cycle {cycle}")
-        self._graph = graph
+            preds[channel.dst].append(channel.src)
+            succs[channel.src].append(channel.dst)
+        self._preds = {task: tuple(sorted(p)) for task, p in preds.items()}
+        self._succs = {task: tuple(sorted(s)) for task, s in succs.items()}
+        self._topo, self._depth = self._kahn()
 
         if reliability_target is not None:
             if not 0 < reliability_target <= 1:
@@ -126,7 +125,32 @@ class TaskGraph:
             self._reliability_target = None
             self._service_value = float(service_value)
 
-        self._topo: Tuple[str, ...] = tuple(nx.lexicographical_topological_sort(graph))
+    def _kahn(self) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+        """Lexicographic topological order and per-task depth, one pass.
+
+        Kahn's algorithm with a name heap: among the ready tasks the
+        smallest name goes first.  Tasks that never become ready lie on
+        or behind a cycle.
+        """
+        waiting = {task: len(p) for task, p in self._preds.items()}
+        ready = [task for task, count in waiting.items() if not count]
+        heapq.heapify(ready)
+        order: List[str] = []
+        depth: Dict[str, int] = {}
+        while ready:
+            task = heapq.heappop(ready)
+            order.append(task)
+            depth[task] = 1 + max((depth[p] for p in self._preds[task]), default=-1)
+            for succ in self._succs[task]:
+                waiting[succ] -= 1
+                if not waiting[succ]:
+                    heapq.heappush(ready, succ)
+        if len(order) < len(self._tasks):
+            stuck = sorted(task for task in self._tasks if task not in depth)
+            raise ModelError(
+                f"graph {self._name!r}: contains a cycle through {stuck}"
+            )
+        return tuple(order), depth
 
     # ------------------------------------------------------------------
     # Identity and scalar attributes
@@ -214,12 +238,12 @@ class TaskGraph:
     def predecessors(self, task_name: str) -> List[str]:
         """Direct predecessors of a task, sorted by name."""
         self.task(task_name)
-        return sorted(self._graph.predecessors(task_name))
+        return list(self._preds[task_name])
 
     def successors(self, task_name: str) -> List[str]:
         """Direct successors of a task, sorted by name."""
         self.task(task_name)
-        return sorted(self._graph.successors(task_name))
+        return list(self._succs[task_name])
 
     def in_channels(self, task_name: str) -> List[Channel]:
         """Channels entering a task."""
@@ -232,12 +256,12 @@ class TaskGraph:
     @property
     def sources(self) -> List[str]:
         """Tasks without predecessors."""
-        return sorted(n for n in self._graph if self._graph.in_degree(n) == 0)
+        return sorted(task for task, p in self._preds.items() if not p)
 
     @property
     def sinks(self) -> List[str]:
         """Tasks without successors."""
-        return sorted(n for n in self._graph if self._graph.out_degree(n) == 0)
+        return sorted(task for task, s in self._succs.items() if not s)
 
     def topological_order(self) -> Tuple[str, ...]:
         """Deterministic topological ordering of the task names."""
@@ -246,23 +270,7 @@ class TaskGraph:
     def depth(self, task_name: str) -> int:
         """Length of the longest predecessor chain ending at the task."""
         self.task(task_name)
-        depths: Dict[str, int] = {}
-        for name in self._topo:
-            preds = list(self._graph.predecessors(name))
-            depths[name] = 1 + max((depths[p] for p in preds), default=-1)
-        return depths[task_name]
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Copy of the dependency structure as a :class:`networkx.DiGraph`.
-
-        Nodes carry a ``task`` attribute, edges a ``channel`` attribute.
-        """
-        graph = nx.DiGraph(name=self._name)
-        for name, task in self._tasks.items():
-            graph.add_node(name, task=task)
-        for channel in self._channels.values():
-            graph.add_edge(channel.src, channel.dst, channel=channel)
-        return graph
+        return self._depth[task_name]
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -280,9 +288,7 @@ class TaskGraph:
         """
         finish: Dict[str, float] = {}
         for name in self._topo:
-            start = max(
-                (finish[p] for p in self._graph.predecessors(name)), default=0.0
-            )
+            start = max((finish[p] for p in self._preds[name]), default=0.0)
             finish[name] = start + self._tasks[name].wcet
         return max(finish.values())
 

@@ -263,35 +263,25 @@ def parse_request(cls, payload: Any, allow_paths: bool = False):
     """A ``/v1/analyze`` or ``/v1/simulate`` body as ``cls``
     (:class:`~repro.api.AnalyzeRequest` or ``SimulateRequest``).
 
-    Accepts ``cls``'s fields, ``deadline_seconds`` (see
-    :func:`parse_deadline`) and, for analyze, the ``bus_contention``
-    alias; values reach the request's checks unconverted.  The system is
-    resolved once and stored inlined; the alias and the drop-set names are
-    checked against it, so an invalid request never reaches a worker.
+    Accepts ``cls``'s fields and ``deadline_seconds`` (see
+    :func:`parse_deadline`); values reach the request's checks
+    unconverted.  The system is resolved once and stored inlined; the
+    drop-set names are checked against it, so an invalid request never
+    reaches a worker.
     """
-    from repro.api import legacy_comm_backend, validate_dropped
+    from repro.api import validate_dropped
 
     if not isinstance(payload, dict):
         raise ReproError("request body must be a JSON object")
     request_fields = dataclasses.fields(cls)[1:]  # ``system`` comes first
     accepted = {"system", "deadline_seconds"}
     accepted.update(f.name for f in request_fields)
-    if cls.bus_contention_alias:
-        accepted.add("bus_contention")
     _reject_unknown(payload, accepted, f"/v1/{cls.operation}")
     _require_system(payload)
-    bus_contention = payload.get("bus_contention", False)
-    if not isinstance(bus_contention, bool):
-        raise ReproError(
-            "bus_contention must be a JSON boolean (true or false)"
-        )
     options = {
         f.name: payload[f.name] for f in request_fields if f.name in payload
     }
     bundle = resolve_system(payload["system"], allow_paths=allow_paths)
-    options["comm_backend"] = legacy_comm_backend(
-        bundle, options.get("comm_backend"), bus_contention
-    )
     request = cls(system=bundle_to_payload(bundle), **options)
     validate_dropped(bundle.applications, request.dropped)
     return request

@@ -24,9 +24,7 @@ Semantics of the hardening constructs (mirroring the analysis model):
 
 import heapq
 import random
-from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-from typing import Mapping as TMapping
 
 from repro.comm import default_comm
 from repro.errors import SimulationError
@@ -215,9 +213,6 @@ class _Compiled:
                 cross_pe = jobs[pred_index].processor != job.processor
                 succs[pred_index].append((job.index, worst, cross_pe))
         self.succs = tuple(tuple(edges) for edges in succs)
-        self.index_of: TMapping[Tuple[str, int], int] = MappingProxyType(
-            {job.job_id: job.index for job in jobs}
-        )
         # The opening event queue: every release, then every hyperperiod
         # boundary, numbered in that order.  Sequence numbers are unique,
         # so a copy of this heap pops exactly as pushing one by one would.
@@ -622,12 +617,11 @@ class _RunState:
                 self.activated[group_key] = True
                 self.record(time, "activate", voter_index, detail=primary)
                 self.trigger_critical(time, primary)
+                jobset = self.compiled.jobset
                 for passive_name in passives:
-                    passive_job = self.compiled.index_of.get(
-                        (passive_name, voter_job.instance)
+                    self.check_ready(
+                        time, jobset.index_of((passive_name, voter_job.instance))
                     )
-                    if passive_job is not None:
-                        self.check_ready(time, passive_job)
 
     def finish_voter(self, time: float, voter_index: int) -> None:
         """Majority decision once the voter's execution completes."""

@@ -1,5 +1,7 @@
 """Unit tests for the TGFF-style benchmark generator."""
 
+import hashlib
+import json
 import random
 
 import networkx as nx
@@ -10,12 +12,18 @@ from hypothesis import strategies as st
 from repro.benchgen.tgff import (
     GraphShape,
     TgffConfig,
+    comm_dominated_problem,
     generate_application_set,
     generate_architecture,
     generate_problem,
     generate_task_graph,
 )
 from repro.errors import ModelError
+from repro.model.serialization import (
+    application_set_to_dict,
+    architecture_to_dict,
+)
+from tests.nxgraph import to_digraph
 
 
 class TestConfigValidation:
@@ -56,7 +64,7 @@ class TestGraphGeneration:
             graph = generate_task_graph("g", random.Random(seed))
             if len(graph) == 1:
                 continue
-            undirected = graph.to_networkx().to_undirected()
+            undirected = to_digraph(graph).to_undirected()
             assert nx.is_connected(undirected)
 
     def test_every_nonsource_has_predecessor(self):
@@ -136,3 +144,27 @@ def test_generated_problems_are_always_valid(seed):
     assert apps.hyperperiod == max(g.period for g in apps.graphs)
     for graph in apps.graphs:
         assert graph.critical_path_wcet() <= graph.period
+
+
+#: sha256 over the canonical JSON of ``generate_problem(seed, 3, 3, 4)``
+#: for seeds 0-199, then ``comm_dominated_problem()``.  Recorded when
+#: the generator stitched components with networkx; the union-find that
+#: replaced it must reproduce every system byte for byte.
+GENERATED_PROBLEMS_SHA256 = (
+    "0e10c5b31eec0993189e7ce48d2b5952c336ca98d118d70b0746871e7cc99785"
+)
+
+
+def test_generated_problems_are_pinned():
+    problems = [generate_problem(seed, 3, 3, 4) for seed in range(200)]
+    problems.append(comm_dominated_problem())
+    digest = hashlib.sha256()
+    for problem in problems:
+        payload = {
+            "applications": application_set_to_dict(problem.applications),
+            "architecture": architecture_to_dict(problem.architecture),
+        }
+        digest.update(
+            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        )
+    assert digest.hexdigest() == GENERATED_PROBLEMS_SHA256

@@ -1,9 +1,9 @@
-"""The ``message-jobs`` backend and its legacy ``bus_contention`` spelling.
+"""The ``message-jobs`` backend.
 
 Message jobs turn every sized cross-processor transfer into a job on one
-virtual bus.  The backend must reproduce the historical
-``bus_contention=True`` analysis byte for byte, fold the ARQ margin into
-each message job, and leave the simulator on reserved latencies.
+virtual bus.  The backend must reproduce the historical bus-contention
+analysis byte for byte, fold the ARQ margin into each message job, and
+leave the simulator on reserved latencies.
 """
 
 import hashlib
@@ -13,9 +13,7 @@ import pytest
 
 from repro import api
 from repro.comm import make_comm, with_comm
-from repro.errors import ReproError
 from repro.model.serialization import SystemBundle
-from repro.sched.comm import CommModel
 from repro.sched.jobs import BUS_RESOURCE, unroll
 from repro.sched.priority import assign_priorities
 from repro.sim import Simulator
@@ -25,8 +23,8 @@ from repro.verify.oracles import result_digest
 
 #: Per suite: sha256 of the ``result_digest`` JSON of a fast-backend,
 #: task-granularity analysis, and the ``JobSet.fingerprint()`` of the
-#: nominal unroll — both recorded with ``bus_contention=True`` before
-#: message jobs became a comm backend.
+#: nominal unroll — both recorded with the former ``bus_contention=True``
+#: flag before message jobs became a comm backend.
 LEGACY_PINS = {
     "cruise": (
         "554f1aa78ac6cd6ff24a674fe554366a8525133180dfa46cdeabfe1238d5a5bb",
@@ -85,12 +83,11 @@ def test_legacy_digests_and_fingerprints_survive(suite):
     state = _scatter(suite)
     digest, fingerprint = LEGACY_PINS[suite]
     bundle = _bundle(state)
-    for spelling in ({"bus_contention": True}, {"comm_backend": "message-jobs"}):
-        result = api.analyze(
-            bundle, backend="fast", granularity="task",
-            dropped=state.dropped, **spelling,
-        )
-        assert _digest(result) == digest, spelling
+    result = api.analyze(
+        bundle, backend="fast", granularity="task",
+        dropped=state.dropped, comm_backend="message-jobs",
+    )
+    assert _digest(result) == digest
 
     hardened = state.hardened()
     bounds = {
@@ -175,36 +172,21 @@ class TestSimulator:
 
 
 class TestLegacySpelling:
-    @pytest.mark.parametrize("backend", ("flat", "shared-bus"))
-    def test_conflicting_explicit_backend_rejected(self, cruise, backend):
-        with pytest.raises(ReproError, match="message-jobs"):
-            api.analyze(
-                _bundle(cruise), bus_contention=True, comm_backend=backend
-            )
-
-    def test_conflicting_declared_backend_rejected(self, cruise):
-        declared = with_comm(cruise.architecture, backend="tdma")
-        with pytest.raises(ReproError, match="tdma"):
-            api.analyze(_bundle(cruise, declared), bus_contention=True)
-
-    def test_explicit_comm_model_rejected(self, cruise):
-        with pytest.raises(ReproError, match="comm model"):
-            api.analyze(
-                _bundle(cruise), bus_contention=True,
-                comm=CommModel(cruise.architecture.interconnect),
-            )
-
     def test_consistent_spellings_accepted(self, cruise):
+        # A fabric that declares message jobs and a comm_backend override
+        # (alone or agreeing with the declaration) are one analysis.
         declared = with_comm(cruise.architecture, backend="message-jobs")
         quick = {"backend": "fast", "granularity": "task"}
         reference = api.analyze(
             _bundle(cruise), comm_backend="message-jobs", **quick
         )
         for bundle, options in (
-            (_bundle(cruise), {"comm_backend": "message-jobs"}),
+            (_bundle(cruise, declared), {"comm_backend": "message-jobs"}),
             (_bundle(cruise, declared), {}),
         ):
-            result = api.analyze(
-                bundle, bus_contention=True, **quick, **options
-            )
+            result = api.analyze(bundle, **quick, **options)
             assert result == reference
+
+    def test_bus_contention_keyword_is_gone(self, cruise):
+        with pytest.raises(TypeError, match="bus_contention"):
+            api.analyze(_bundle(cruise), bus_contention=True)

@@ -1,13 +1,19 @@
 """Unit tests for task graphs."""
 
 import math
+from functools import lru_cache
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
+from repro.hardening.transform import harden
 from repro.model.task import Channel, Task
 from repro.model.taskgraph import Criticality, TaskGraph
+from repro.suites import benchmark_names, cruise_reference_plan, get_benchmark
+from tests.nxgraph import to_digraph
 
 
 def diamond_graph(**kwargs):
@@ -76,11 +82,27 @@ class TestConstruction:
             )
 
     def test_cycle_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=r"cycle through \['a', 'b'\]"):
             TaskGraph(
                 "g",
                 [Task("a", 1, 2), Task("b", 1, 2)],
                 [Channel("a", "b", 1.0), Channel("b", "a", 1.0)],
+                period=10,
+                service_value=1.0,
+            )
+
+    def test_self_loop_rejected(self):
+        # Channel itself refuses a self-loop; a graph handed one anyway
+        # still finds it.
+        with pytest.raises(ModelError, match="'a' -> 'a' is a self-loop"):
+            Channel("a", "a", 1.0)
+        loop = Channel("a", "b", 1.0)
+        object.__setattr__(loop, "dst", "a")
+        with pytest.raises(ModelError, match=r"cycle through \['a'\]"):
+            TaskGraph(
+                "g",
+                [Task("a", 1, 2), Task("b", 1, 2)],
+                [loop],
                 period=10,
                 service_value=1.0,
             )
@@ -192,12 +214,73 @@ class TestStructure:
         assert graph.depth("b") == 1
         assert graph.depth("d") == 2
 
-    def test_to_networkx(self):
-        nxg = diamond_graph().to_networkx()
-        assert isinstance(nxg, nx.DiGraph)
-        assert set(nxg.nodes) == {"a", "b", "c", "d"}
-        assert nxg.nodes["a"]["task"].wcet == 2.0
-        assert nxg.edges["a", "b"]["channel"].size == 1.0
+
+def longest_chain_depth(digraph: nx.DiGraph, node: str) -> int:
+    """Edges on the longest predecessor chain ending at ``node``."""
+
+    @lru_cache(maxsize=None)
+    def depth(name: str) -> int:
+        return 1 + max((depth(p) for p in digraph.predecessors(name)), default=-1)
+
+    return depth(node)
+
+
+def assert_matches_networkx(graph: TaskGraph) -> None:
+    """The graph's own adjacency agrees with networkx on every query."""
+    digraph = to_digraph(graph)
+    assert graph.topological_order() == tuple(
+        nx.lexicographical_topological_sort(digraph)
+    )
+    for name in graph.task_names:
+        assert graph.predecessors(name) == sorted(digraph.predecessors(name))
+        assert graph.successors(name) == sorted(digraph.successors(name))
+        assert graph.depth(name) == longest_chain_depth(digraph, name)
+    assert graph.sources == sorted(n for n, d in digraph.in_degree() if d == 0)
+    assert graph.sinks == sorted(n for n, d in digraph.out_degree() if d == 0)
+
+
+@st.composite
+def random_dags(draw):
+    """A random DAG: edges run from lower to higher rank, and the names
+    and the insertion order are drawn independently of rank, so neither
+    gives the lexicographic topological order away."""
+    count = draw(st.integers(min_value=1, max_value=12))
+    names = draw(
+        st.lists(
+            st.text("abcxyz", min_size=1, max_size=3),
+            min_size=count, max_size=count, unique=True,
+        )
+    )
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    inserted = draw(st.permutations(range(count)))
+    return TaskGraph(
+        "g",
+        [Task(names[i], 1.0, 1.0 + i) for i in inserted],
+        [Channel(names[i], names[j], 1.0) for i, j in edges],
+        period=100.0,
+        service_value=1.0,
+    )
+
+
+class TestAdjacency:
+    """The Kahn pass against networkx, the reference it replaced."""
+
+    @given(random_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_random_dags_match_networkx(self, graph):
+        assert_matches_networkx(graph)
+
+    @pytest.mark.parametrize("suite", benchmark_names())
+    def test_suite_graphs_match_networkx(self, suite):
+        for graph in get_benchmark(suite).problem.applications:
+            assert_matches_networkx(graph)
+
+    def test_hardened_cruise_graphs_match_networkx(self):
+        applications = get_benchmark("cruise").problem.applications
+        hardened = harden(applications, cruise_reference_plan())
+        for graph in hardened.applications:
+            assert_matches_networkx(graph)
 
 
 class TestAggregates:

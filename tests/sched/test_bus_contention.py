@@ -1,8 +1,4 @@
-"""Tests for the ``message-jobs`` comm backend (bus arbitration as jobs).
-
-``bus_contention=True`` is the legacy :mod:`repro.api` spelling of the
-same backend.
-"""
+"""Tests for the ``message-jobs`` comm backend (bus arbitration as jobs)."""
 
 import pytest
 
@@ -185,7 +181,9 @@ class TestThroughAlgorithmOne:
         )
         for graph in hardened.applications.graph_names:
             assert contended.wcrt_of(graph) >= plain.wcrt_of(graph) - 1e-9
-        # The legacy api flag is the same backend under another name.
+        # The api's comm_backend keyword selects the same backend.
         bundle = SystemBundle(apps, architecture, mapping, plan)
-        legacy = api.analyze(bundle, dropped=("lo",), bus_contention=True)
-        assert legacy == contended
+        via_api = api.analyze(
+            bundle, dropped=("lo",), comm_backend="message-jobs"
+        )
+        assert via_api == contended

@@ -70,7 +70,7 @@ class TestRequestDigest:
             ({"dropped": ["info", "log"]}, {"dropped": ["log", "info"]}),
             ({"dropped": ["info", "info"]}, {"dropped": ["info"]}),
             ({"dropped": "log, info"}, {"dropped": ["info", "log"]}),
-            ({}, {"comm_backend": None, "bus_contention": False}),
+            ({}, {"comm_backend": None}),
         ),
     )
     def test_equivalent_analyze_spellings_coalesce(self, left, right):
@@ -204,24 +204,18 @@ class TestParseAnalyze:
                 {"system": bundle_to_payload(bundle), "method": "bogus"}
             )
 
-    @pytest.mark.parametrize("value", ("false", "no", "true", 0, 1, None))
-    def test_bus_contention_must_be_a_json_boolean(self, bundle, value):
-        # bool("false") is True: strings must never switch contention on.
-        with pytest.raises(ReproError, match="JSON boolean"):
+    @pytest.mark.parametrize("value", (True, False, "true", None))
+    def test_bus_contention_is_an_unknown_field(self, bundle, value):
+        # The removed alias gets the ordinary unknown-field error, whose
+        # accepted list names its replacement.
+        with pytest.raises(ReproError, match="unknown field") as info:
             parse_analyze(
                 {"system": bundle_to_payload(bundle), "bus_contention": value}
             )
-
-    @pytest.mark.parametrize("value", (True, False))
-    def test_bus_contention_booleans_pass_through(self, bundle, value):
-        # The alias is not a request field: it resolves to its backend.
-        request = parse_analyze(
-            {"system": bundle_to_payload(bundle), "bus_contention": value}
-        )
-        assert request.comm_backend == ("message-jobs" if value else None)
+        assert "comm_backend" in str(info.value)
 
     def test_bus_contention_conflict_rejected(self, bundle):
-        with pytest.raises(ReproError, match="message-jobs"):
+        with pytest.raises(ReproError, match="unknown field"):
             parse_analyze(
                 {
                     "system": bundle_to_payload(bundle),
@@ -315,7 +309,7 @@ class TestParseSimulate:
         with pytest.raises(ReproError, match=field):
             parse_simulate({"system": bundle_to_payload(bundle), field: value})
 
-    def test_bus_contention_is_an_analyze_alias_only(self, bundle):
+    def test_bus_contention_is_an_unknown_field(self, bundle):
         with pytest.raises(ReproError, match="unknown field"):
             parse_simulate(
                 {"system": bundle_to_payload(bundle), "bus_contention": True}

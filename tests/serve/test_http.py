@@ -240,13 +240,16 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("value", ("false", "no", 0, None))
     def test_non_boolean_bus_contention_400(self, client, bundle, value):
+        # ``bus_contention`` is no field at all, whatever its value; the
+        # unknown-field 400 names the replacement.
         with pytest.raises(ServeError) as info:
             client.analyze(bundle, bus_contention=value)
         assert info.value.status == 400
-        assert "JSON boolean" in str(info.value)
+        assert "unknown field" in str(info.value)
+        assert "comm_backend" in str(info.value)
 
     def test_bus_contention_selects_message_jobs(self, client, bundle):
-        raw = client.analyze_raw(bundle, bus_contention=True)
+        raw = client.analyze_raw(bundle, comm_backend="message-jobs")
         direct = canonical_bytes(
             analysis_result_to_dict(
                 analyze(bundle, comm_backend="message-jobs")

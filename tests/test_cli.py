@@ -38,8 +38,8 @@ class TestAnalyze:
 
     def test_policy_and_bus_flags(self, system_file, capsys):
         code = main(
-            ["analyze", system_file, "--policy", "edf", "--bus-contention",
-             "--dropped", "lo"]
+            ["analyze", system_file, "--policy", "edf",
+             "--comm-backend", "message-jobs", "--dropped", "lo"]
         )
         assert code in (0, 1)
         assert "hi" in capsys.readouterr().out

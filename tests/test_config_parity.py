@@ -154,14 +154,22 @@ class TestCanonicalization:
 
 
 class TestConstructionPath:
-    def test_from_options_round_trips_full_field_names(self):
+    def test_full_field_names_go_to_the_constructor(self):
+        # Island workers rebuild their config from ``asdict``; the field
+        # names are the dataclass's, and from_options takes only the
+        # user-facing spellings ``eval_budget`` and ``quarantine``.
         config = ExplorerConfig.from_options(
             population=20, generations=9, seed=4, workers=2,
-            mutation_gene_rate=0.2,
+            mutation_gene_rate=0.2, eval_budget=3.0, quarantine="q.jsonl",
         )
         from dataclasses import asdict
 
-        assert ExplorerConfig.from_options(**asdict(config)) == config
+        assert ExplorerConfig(**asdict(config)) == config
+        assert config.eval_soft_budget_seconds == 3.0
+        assert config.quarantine_path == "q.jsonl"
+        for alias in ("eval_soft_budget_seconds", "quarantine_path"):
+            with pytest.raises(TypeError, match=alias):
+                ExplorerConfig.from_options(**{alias: None})
 
     def test_shorthand_expands_the_size_triple(self):
         config = ExplorerConfig.from_options(population=24)
@@ -288,17 +296,6 @@ class TestAnalyzeSimulateParity:
             _via_api(monkeypatch, call),
         )
         assert all(r == requests[0] for r in requests)
-
-    def test_bus_contention_digests_as_message_jobs(self, monkeypatch):
-        alias = AnalyzeRequest.from_payload(
-            {"system": "cruise", "bus_contention": True}
-        )
-        spelled = AnalyzeRequest.from_payload(
-            {"system": "cruise", "comm_backend": "message-jobs"}
-        )
-        assert alias == spelled
-        assert request_key(alias) == request_key(spelled)
-        assert _via_api(monkeypatch, api.analyze, bus_contention=True) == spelled
 
     def test_options_round_trip_through_the_wire(self):
         served = AnalyzeRequest.from_payload(
